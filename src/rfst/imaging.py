@@ -1,13 +1,20 @@
 """Separable block transforms on grayscale images, plus the timing bench.
 
-A 2-D block transform is applied row pass first, then column pass, so a
-block B becomes T B T'.  Row and column passes are vectorized across
-the whole image: every length-M segment along the active axis becomes a
-column of one (M x num_segments) matrix, the operator is applied once,
-and the result is scattered back.  Both benchmark variants share this
-plumbing and the same dense sine core; they differ only in the
-postprocessing (streamed reflection cascade versus dense half-size
-matrix), which is the comparison of interest.
+A 2-D block transform maps every M x M block B of a plane to
+P(D B D')P', where D is the dense core matrix and P a postprocessing
+step on each length-M coefficient vector: the reflection cascade of a
+fast regular transform, nothing for a plain orthonormal matrix, or the
+dense half-size matrix in the timing bench.  forward_2d, inverse_2d and
+the bench all run one pipeline, a row pass and then a column pass.
+
+Each pass multiplies the core into a coefficient-major (M x H*W/M)
+workspace, one contiguous row per subband, which is the layout in which
+the cascade runs as BLAS plane rotations; then it copies the workspace
+back into the plane.  The product reads the plane's segments in place
+through strided views (a transposed operand for the row pass, one
+batched product per block row for the column pass), so the plane is
+never gathered into a segment matrix.  The inverse runs the adjoint
+passes in reverse order.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from .rdst import half_postprocessing_matrix
 from .regularity import FastRegularTransform, rfst
-from .transforms import OrthonormalTransform, dst2
+from .transforms import OrthonormalTransform, _check_size
 
 try:
     from threadpoolctl import threadpool_limits
@@ -59,6 +66,7 @@ class CoeffPlane:
     block: int
 
     def __post_init__(self):
+        _check_size(self.block)
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("coefficient plane must be 2-D")
@@ -157,43 +165,62 @@ def write_coeff_file(plane: CoeffPlane, path) -> None:
     Path(path).write_bytes(emit_coeff_file(plane))
 
 
-def _forward_op(transform):
-    """Return (block size, callable mapping an (M, K) segment matrix forward)."""
+def _core_and_post(transform, inverse: bool = False):
+    """Dense core matrix and the in-place postprocessing of its coefficients.
+
+    The postprocessing is the reflection cascade (undone in reverse order
+    for the inverse) or None for a plain orthonormal matrix.
+    """
     if isinstance(transform, FastRegularTransform):
-        core = transform.core.entries
         cascade = transform.cascade
-
-        def op(segments):
-            return cascade.apply(core @ segments)
-
-        return transform.size, op
+        return transform.core.entries, lambda coef: cascade.apply(coef, inverse=inverse)
     if isinstance(transform, OrthonormalTransform):
-        entries = transform.entries
-        return transform.size, lambda segments: entries @ segments
+        return transform.entries, None
     raise TypeError(f"unsupported transform type {type(transform).__name__}")
 
 
-def _inverse_op(transform):
-    if isinstance(transform, FastRegularTransform):
-        core_t = transform.core.entries.T
-        cascade = transform.cascade
+def _segments(plane: np.ndarray, m: int, axis: int) -> np.ndarray:
+    """(batch, m, k) view of a C-contiguous plane, the m axis running along `axis`.
 
-        def op(segments):
-            return core_t @ cascade.apply(segments, inverse=True)
-
-        return transform.size, op
-    if isinstance(transform, OrthonormalTransform):
-        entries_t = transform.entries.T
-        return transform.size, lambda segments: entries_t @ segments
-    raise TypeError(f"unsupported transform type {type(transform).__name__}")
-
-
-def _row_pass(plane: np.ndarray, op, m: int) -> np.ndarray:
-    """Apply op to every length-m horizontal segment of the plane."""
+    Rows (axis 1): one batch whose k columns are the length-m horizontal
+    segments, a transposed view of plane.reshape(-1, m).  Columns
+    (axis 0): one (m, W) batch per block row.
+    """
     h, w = plane.shape
-    segments = plane.reshape(h, w // m, m).transpose(2, 0, 1).reshape(m, -1)
-    segments = op(segments)
-    return segments.reshape(m, h, w // m).transpose(1, 2, 0).reshape(h, w)
+    if axis == 1:
+        return plane.reshape(1, -1, m).transpose(0, 2, 1)
+    return plane.reshape(h // m, m, w)
+
+
+def _blockwise_2d(src: np.ndarray, dst: np.ndarray, core: np.ndarray, post,
+                  inverse: bool = False) -> np.ndarray:
+    """Apply the block transform (core, then post) along the rows and columns of src.
+
+    Each pass multiplies core into `coef`, a coefficient-major
+    (M, H*W/M) workspace with one contiguous row per subband, runs post
+    on it in place, and copies it back into dst, which may be src.  The
+    inverse is the adjoint: column pass first, each pass copying out,
+    running post (here the inverse cascade), then multiplying by core'
+    into dst.  post may be None.
+    """
+    m = core.shape[0]
+    coef = np.empty((m, src.size // m))
+    for axis in (0, 1) if inverse else (1, 0):
+        src_seg, dst_seg = _segments(src, m, axis), _segments(dst, m, axis)
+        batch, _, k = src_seg.shape
+        work = coef.reshape(m, batch, k).transpose(1, 0, 2)
+        if inverse:
+            np.copyto(work, src_seg)
+            if post is not None:
+                post(coef)
+            np.matmul(core.T, work, out=dst_seg)
+        else:
+            np.matmul(core, src_seg, out=work)
+            if post is not None:
+                post(coef)
+            np.copyto(dst_seg, work)
+        src = dst
+    return dst
 
 
 def _check_divisible(shape, m: int) -> None:
@@ -207,21 +234,20 @@ def _check_divisible(shape, m: int) -> None:
 
 def forward_2d(img: GrayImage, transform) -> CoeffPlane:
     """Blockwise T B T' of an image: row pass, then column pass."""
-    m, op = _forward_op(transform)
+    core, post = _core_and_post(transform)
+    m = core.shape[0]
     _check_divisible(img.pixels.shape, m)
     plane = img.pixels.astype(np.float64)
-    plane = _row_pass(plane, op, m)
-    plane = _row_pass(plane.T.copy(), op, m).T
-    return CoeffPlane(plane.copy(), block=m)
+    return CoeffPlane(_blockwise_2d(plane, plane, core, post), block=m)
 
 
 def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
     """Exact adjoint of forward_2d; returns the real-valued plane, no rounding."""
-    m, op = _inverse_op(transform)
+    core, post = _core_and_post(transform, inverse=True)
+    m = core.shape[0]
     if m != coeffs.block:
         raise ValueError(f"transform size {m} does not match plane block size {coeffs.block}")
-    plane = _row_pass(coeffs.values.T.copy(), op, m).T
-    return _row_pass(plane, op, m)
+    return _blockwise_2d(coeffs.values, np.empty(coeffs.values.shape), core, post, inverse=True)
 
 
 def subband_energy(coeffs: CoeffPlane) -> np.ndarray:
@@ -251,78 +277,6 @@ def subband_mosaic(coeffs: CoeffPlane) -> GrayImage:
     return GrayImage(pixels)
 
 
-def _dense_half_op(m: int):
-    """Forward segment operator using the dense half-size postprocessing."""
-    core = dst2(m).entries
-    pp = half_postprocessing_matrix(m)
-
-    def op(segments):
-        y = core @ segments
-        y[0::2] = pp @ y[0::2]
-        return y
-
-    return op
-
-
-def _bench_runner(m: int, plane0: np.ndarray):
-    """Workspace-backed forward 2-D pipeline for the timing comparison.
-
-    Both styles execute the same gather / core GEMM / scatter steps on one
-    shared set of preallocated buffers, so runs differ only in the
-    postprocessing applied to the (m, K) coefficient segments.
-    """
-    h, w = plane0.shape
-    k = h * w // m
-    fast = rfst(m)
-    core = fast.core.entries
-    cascade = fast.cascade
-    pp = half_postprocessing_matrix(m)
-
-    seg = np.empty((m, k))
-    coef = np.empty((m, k))
-    mid = np.empty((h, w))
-    transposed = np.empty((w, h))
-    final = np.empty((w, h))
-    even = np.empty((m // 2, k))
-    even_out = np.empty((m // 2, k))
-
-    def gather(plane, buf):
-        hh, ww = plane.shape
-        np.copyto(
-            buf.reshape(m, hh, ww // m),
-            plane.reshape(hh, ww // m, m).transpose(2, 0, 1),
-        )
-
-    def scatter(buf, plane):
-        hh, ww = plane.shape
-        np.copyto(
-            plane.reshape(hh, ww // m, m),
-            buf.reshape(m, hh, ww // m).transpose(1, 2, 0),
-        )
-
-    def cascade_post(y):
-        cascade.apply(y)
-
-    def dense_post(y):
-        np.copyto(even, y[0::2])
-        np.matmul(pp, even, out=even_out)
-        y[0::2] = even_out
-
-    def run(post) -> np.ndarray:
-        gather(plane0, seg)
-        np.matmul(core, seg, out=coef)
-        post(coef)
-        scatter(coef, mid)
-        np.copyto(transposed, mid.T)
-        gather(transposed, seg)
-        np.matmul(core, seg, out=coef)
-        post(coef)
-        scatter(coef, final)
-        return final  # transposed coefficient plane; layout shared by both styles
-
-    return run, cascade_post, dense_post
-
-
 @dataclass(frozen=True)
 class BenchReport:
     size: int
@@ -339,20 +293,33 @@ def bench_postprocessing(
 ) -> BenchReport:
     """Median wall time of the two postprocessing styles on one seeded image.
 
-    Both variants run the identical vectorized sine core; one streams
-    the reflection cascade, the other multiplies the even coefficients
-    by the dense half-size matrix.  Runs single-threaded (BLAS thread
-    pools are capped) and reports the medians, their difference, and
-    the max absolute discrepancy between the two coefficient planes.
+    Both variants run the forward pipeline that forward_2d ships, with
+    the same sine core; one streams the reflection cascade, the other
+    multiplies the even coefficients by the dense half-size matrix.
+    Runs single-threaded (BLAS thread pools are capped) and reports the
+    medians, their difference, and the max absolute discrepancy between
+    the two coefficient planes.
     """
     _check_divisible((image_size, image_size), m)
     rng = np.random.default_rng(seed)
     img = GrayImage(rng.integers(0, 256, size=(image_size, image_size), dtype=np.uint8))
+    fast = rfst(m)
+    core = fast.core.entries
+    pp = half_postprocessing_matrix(m)
 
     # the integer-to-float conversion is identical for both styles, so it
     # stays outside the timed region
     plane0 = img.pixels.astype(np.float64)
-    run, cascade_post, dense_post = _bench_runner(m, plane0)
+    out = np.empty_like(plane0)
+    even = np.empty((m // 2, plane0.size // m))
+    cascade_post = fast.cascade.apply
+
+    def dense_post(coef):
+        np.matmul(pp, coef[0::2], out=even)
+        coef[0::2] = even
+
+    def run(post) -> np.ndarray:
+        return _blockwise_2d(plane0, out, core, post)
 
     def timed(post) -> float:
         start = time.perf_counter()

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
-import scipy.optimize
 
 from .regularity import FastRegularTransform, build_dst_cascade
 from .transforms import OrthonormalTransform, _check_size, dst2
@@ -134,6 +133,8 @@ def signed_perm_equivalent(
     and resolved with an optimal assignment, so ties cannot derail the
     matching.  A None result is a negative answer, not an error.
     """
+    from scipy.optimize import linear_sum_assignment  # 0.2 s to import; only this needs it
+
     a = _dense(a)
     b = _dense(b)
     if a.shape != b.shape:
@@ -146,7 +147,7 @@ def signed_perm_equivalent(
         d_minus = np.abs(b + a[row]).max(axis=1)
         cost[row] = np.minimum(d_plus, d_minus)
         plus_is_better[row] = d_plus <= d_minus
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment(cost)
     residuals = cost[rows, cols]
     if residuals.max() > tol:
         return None

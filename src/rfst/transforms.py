@@ -233,8 +233,11 @@ def dst2(m: int) -> OrthonormalTransform:
     from_cosine = order_reversal(m).apply_rows(dct2(m).entries)
     from_cosine = alternating_sign_flip(m).apply_cols(from_cosine)
     # trig argument reduction drifts with size; 2.8e-14 observed at m=1024
-    assert np.abs(entries - from_cosine).max() <= 1e-13, \
-        "sine matrix disagrees with reversal/sign-flip construction"
+    mismatch = np.abs(entries - from_cosine).max()
+    if mismatch > 1e-13:
+        raise ValueError(
+            f"sine matrix disagrees with reversal/sign-flip construction by {mismatch:.3e}"
+        )
 
     return OrthonormalTransform(entries, kind="DST2")
 

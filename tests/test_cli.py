@@ -181,6 +181,16 @@ def test_image_block_mismatch_is_validation_error(tmp_path, capsys):
     assert "does not match" in err
 
 
+def test_image_inverse_rejects_bad_block_header(tmp_path, capsys):
+    coeff = tmp_path / "c.rfc"
+    header = np.array([8, 8, 0, 0], dtype="<u4").tobytes()  # width, height, block=0
+    coeff.write_bytes(b"RFC1" + header + bytes(8 * 64))
+    code, out, err = run(capsys, "image", "inverse", "--transform", "rfst",
+                         "--block", "8", "--in", str(coeff), "--out", str(tmp_path / "o.pgm"))
+    assert code == 1 and out == ""
+    assert err.startswith("rfst: error:") and "power of two" in err
+
+
 def test_image_missing_input(tmp_path, capsys):
     code, _, err = run(capsys, "image", "forward", "--transform", "rfst",
                        "--block", "8", "--in", str(tmp_path / "nope.pgm"),

@@ -21,7 +21,7 @@ from rfst.imaging import (
     write_pgm,
 )
 from rfst.regularity import rfst
-from rfst.transforms import dst2
+from rfst.transforms import dct2, dst2, hadamard
 
 
 def _random_image(rng, h, w):
@@ -40,6 +40,9 @@ def test_coeff_plane_validation():
         CoeffPlane(np.zeros((6, 8)), block=4)
     with pytest.raises(ValueError):
         CoeffPlane(np.zeros(8), block=4)
+    for block in (0, 1, 3, 6):
+        with pytest.raises(ValueError, match="power of two"):
+            CoeffPlane(np.zeros((12, 12)), block=block)
 
 
 def test_pgm_round_trip():
@@ -102,32 +105,53 @@ def test_coeff_file_rejects_bad_inputs():
         parse_coeff_file(bytes(tampered))
     with pytest.raises(ValueError):
         parse_coeff_file(bytes(blob[:-8]))
+    for block in (0, 3):
+        tampered = bytearray(blob)
+        tampered[12:16] = np.array([block], dtype="<u4").tobytes()  # block header word
+        with pytest.raises(ValueError, match="power of two"):
+            parse_coeff_file(bytes(tampered))
+
+
+def _assert_per_block(plane, coeffs, mat):
+    # every M x M block of coeffs must equal mat @ block @ mat.T
+    m = mat.shape[0]
+    for bi in range(0, plane.shape[0], m):
+        for bj in range(0, plane.shape[1], m):
+            block = plane[bi : bi + m, bj : bj + m]
+            got = coeffs[bi : bi + m, bj : bj + m]
+            assert np.abs(got - mat @ block @ mat.T).max() <= 1e-11
 
 
 @pytest.mark.parametrize("m", (2, 4, 8))
 def test_forward_matches_per_block_oracle(m):
     rng = np.random.default_rng(34)
     img = _random_image(rng, 4 * m, 6 * m)
+    before = img.pixels.copy()
     t = rfst(m)
-    dense = t.as_matrix().entries
     coeffs = forward_2d(img, t)
     assert coeffs.block == m
-    plane = img.pixels.astype(np.float64)
-    for bi in range(0, img.height, m):
-        for bj in range(0, img.width, m):
-            block = plane[bi : bi + m, bj : bj + m]
-            expected = dense @ block @ dense.T
-            got = coeffs.values[bi : bi + m, bj : bj + m]
-            assert np.abs(got - expected).max() <= 1e-11
+    assert np.array_equal(img.pixels, before)
+    _assert_per_block(img.pixels.astype(np.float64), coeffs.values, t.as_matrix().entries)
 
 
-def test_forward_accepts_plain_transforms():
+@pytest.mark.parametrize("m", (2, 4, 8))
+def test_inverse_matches_per_block_oracle(m):
+    rng = np.random.default_rng(40)
+    coeffs = CoeffPlane(rng.standard_normal((4 * m, 6 * m)) * 100.0, block=m)
+    before = coeffs.values.copy()
+    t = rfst(m)
+    plane = inverse_2d(coeffs, t)
+    assert np.array_equal(coeffs.values, before)
+    _assert_per_block(coeffs.values, plane, t.as_matrix().entries.T)
+
+
+@pytest.mark.parametrize("maker", (dct2, dst2, hadamard), ids=lambda f: f.__name__)
+def test_forward_accepts_plain_transforms(maker):
     rng = np.random.default_rng(35)
-    img = _random_image(rng, 8, 8)
-    t = dst2(8)
+    img = _random_image(rng, 4 * 8, 6 * 8)
+    t = maker(8)
     coeffs = forward_2d(img, t)
-    expected = t.entries @ img.pixels.astype(np.float64) @ t.entries.T
-    assert np.abs(coeffs.values - expected).max() <= 1e-11
+    _assert_per_block(img.pixels.astype(np.float64), coeffs.values, t.entries)
     assert np.abs(inverse_2d(coeffs, t) - img.pixels).max() <= 1e-11
 
 

@@ -1,10 +1,14 @@
 """Null-space oracle construction and signed-permutation equivalence."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rfst as rfst_package
 from rfst.rdst import (
     apply_half_postprocessing,
     half_postprocessing_matrix,
@@ -82,6 +86,16 @@ def test_oracle_equivalent_to_cascade_route(m):
 
 def test_equivalence_is_a_negative_answer_not_an_error():
     assert signed_perm_equivalent(rfst(8), hadamard(8)) is None
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported by signed_perm_equivalent alone
+    src = str(Path(rfst_package.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import rfst, rfst.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 def test_equivalence_shape_mismatch_raises():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rfst.transforms
 from rfst.transforms import (
     GivensReflection,
     OrthonormalTransform,
@@ -61,6 +62,16 @@ def test_dst2_from_reversed_cosine(m):
     rebuilt = order_reversal(m).apply_rows(dct2(m).entries)
     rebuilt = alternating_sign_flip(m).apply_cols(rebuilt)
     assert np.abs(rebuilt - dst2(m).entries).max() <= 1e-14
+
+
+def test_dst2_cross_check_raises_on_disagreement(monkeypatch):
+    # a runtime check, not an assert, so python -O keeps it
+    real_dct2 = rfst.transforms.dct2
+    monkeypatch.setattr(
+        rfst.transforms, "dct2", lambda m: OrthonormalTransform(real_dct2(m).entries[::-1])
+    )
+    with pytest.raises(ValueError, match="reversal/sign-flip"):
+        dst2(8)
 
 
 def test_dst2_small_matrix_values():
