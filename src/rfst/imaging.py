@@ -198,7 +198,8 @@ def _blockwise_2d(src: np.ndarray, dst: np.ndarray, core: np.ndarray, post,
 
     Each pass multiplies core into `coef`, a coefficient-major
     (M, H*W/M) workspace with one contiguous row per subband, runs post
-    on it in place, and copies it back into dst, which may be src.  The
+    on it in place, and copies it back into dst, which may be src and
+    must be C-contiguous (its segments are written through views).  The
     inverse is the adjoint: column pass first, each pass copying out,
     running post (here the inverse cascade), then multiplying by core'
     into dst.  post may be None.
@@ -237,7 +238,7 @@ def forward_2d(img: GrayImage, transform) -> CoeffPlane:
     core, post = _core_and_post(transform)
     m = core.shape[0]
     _check_divisible(img.pixels.shape, m)
-    plane = img.pixels.astype(np.float64)
+    plane = img.pixels.astype(np.float64, order="C")
     return CoeffPlane(_blockwise_2d(plane, plane, core, post), block=m)
 
 
