@@ -5,19 +5,14 @@ flat (they pass the DC component to a single subband), compares two
 constructions of that property — a streamed cascade of plane reflections
 appended to the sine transform, and an SVD-based redesign of the sine basis —
 and measures coding gain, operation counts, and runtime on 2-D images.
+
+The package namespace holds what a user calls or constructs.  Result
+records, the op-counting instruments, the SVD oracle's stages and the
+reflection primitives stay in their submodules.
 """
 
-from .analysis import (
-    DEFAULT_RHO,
-    Ar1Process,
-    CodingGainReport,
-    FrequencyResponse,
-    coding_gain,
-    dc_leakage_energy,
-    frequency_response,
-)
+from .analysis import DEFAULT_RHO, coding_gain, dc_leakage_energy, frequency_response
 from .imaging import (
-    BenchReport,
     CoeffPlane,
     GrayImage,
     bench_postprocessing,
@@ -30,67 +25,32 @@ from .imaging import (
     write_coeff_file,
     write_pgm,
 )
-from .opcount import OpCounter, counting_vector, measure_cascade_ops, measure_half_postprocessing_ops
-from .rdst import (
-    ModifiedDst,
-    SignedPermEquivalence,
-    modified_dst,
-    null_vector,
-    rdst,
-    rdst_fast_apply,
-    rdst_stages,
-    signed_perm_equivalent,
-)
+from .rdst import rdst, rdst_fast_apply, signed_perm_equivalent
 from .regularity import (
-    DcResponse,
     FastRegularTransform,
-    OpCountReport,
     RegularityCascade,
     build_dst_cascade,
     build_general_cascade,
-    dc_response,
     extra_op_count,
     rfst,
 )
-from .transforms import (
-    GivensReflection,
-    OrthonormalTransform,
-    SignFlipPermutation,
-    apply_reflection,
-    dct2,
-    dst2,
-    hadamard,
-    reflect_pair,
-)
+from .transforms import GivensReflection, OrthonormalTransform, dct2, dst2, hadamard
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ar1Process",
-    "BenchReport",
-    "CodingGainReport",
     "CoeffPlane",
-    "DcResponse",
     "DEFAULT_RHO",
     "FastRegularTransform",
-    "FrequencyResponse",
     "GivensReflection",
     "GrayImage",
-    "ModifiedDst",
-    "OpCountReport",
-    "OpCounter",
     "OrthonormalTransform",
     "RegularityCascade",
-    "SignFlipPermutation",
-    "SignedPermEquivalence",
-    "apply_reflection",
     "bench_postprocessing",
     "build_dst_cascade",
     "build_general_cascade",
     "coding_gain",
-    "counting_vector",
     "dc_leakage_energy",
-    "dc_response",
     "dct2",
     "dst2",
     "extra_op_count",
@@ -98,16 +58,10 @@ __all__ = [
     "frequency_response",
     "hadamard",
     "inverse_2d",
-    "measure_cascade_ops",
-    "measure_half_postprocessing_ops",
-    "modified_dst",
-    "null_vector",
     "rdst",
     "rdst_fast_apply",
-    "rdst_stages",
     "read_coeff_file",
     "read_pgm",
-    "reflect_pair",
     "rfst",
     "signed_perm_equivalent",
     "subband_energy",

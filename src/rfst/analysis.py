@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regularity import FastRegularTransform
-from .transforms import OrthonormalTransform
+from .regularity import dense_entries
 
 DEFAULT_RHO = 0.95
 MEAN_VARIANCE_TOL = 1e-10
@@ -47,14 +46,6 @@ class CodingGainReport:
     gain_db: float
 
 
-def _dense_tagged(t) -> tuple[np.ndarray, str]:
-    if isinstance(t, FastRegularTransform):
-        return t.as_matrix().entries, "RFST"
-    if isinstance(t, OrthonormalTransform):
-        return t.entries, t.kind
-    return np.asarray(t, dtype=np.float64), "CUSTOM"
-
-
 def coding_gain(t, rho: float = DEFAULT_RHO) -> CodingGainReport:
     """Transform coding gain in dB under the AR(1) model.
 
@@ -63,7 +54,7 @@ def coding_gain(t, rho: float = DEFAULT_RHO) -> CodingGainReport:
     for any orthonormal transform); inputs failing that check are
     rejected rather than silently producing a meaningless gain.
     """
-    entries, kind = _dense_tagged(t)
+    entries, kind = dense_entries(t)
     m = entries.shape[0]
     cov = Ar1Process(rho, m).covariance()
     variances = np.einsum("mi,ij,mj->m", entries, cov, entries)
@@ -78,7 +69,7 @@ def coding_gain(t, rho: float = DEFAULT_RHO) -> CodingGainReport:
 
 def dc_leakage_energy(t) -> float:
     """Energy of the constant input leaked outside subband 0 (equals M - a0^2)."""
-    entries, _ = _dense_tagged(t)
+    entries, _ = dense_entries(t)
     a = entries @ np.ones(entries.shape[0])
     return float(np.sum(a[1:] ** 2))
 
@@ -94,7 +85,7 @@ class FrequencyResponse:
 
 def frequency_response(t, row: int, n_points: int = 512) -> FrequencyResponse:
     """Sample |sum_n t[row, n] exp(-i w n)| at n_points frequencies from 0 to pi."""
-    entries, _ = _dense_tagged(t)
+    entries, _ = dense_entries(t)
     m = entries.shape[0]
     if not 0 <= row < m:
         raise ValueError(f"row {row} out of range for size {m}")

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import analysis, imaging, regularity, transforms
 from .rdst import rdst, signed_perm_equivalent
-from .regularity import FastRegularTransform
 
 TRANSFORM_TYPES = ("dct", "dst", "ht", "rfst", "rdst")
 TABLE1_SIZES = (2, 4, 8, 16, 32)
@@ -45,12 +44,6 @@ def _build_transform(kind: str, size: int):
     raise ValueError(f"unknown transform type {kind!r}")
 
 
-def _dense(transform):
-    if isinstance(transform, FastRegularTransform):
-        return transform.as_matrix()
-    return transform
-
-
 def _write_text(out, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -64,14 +57,14 @@ def _cmd_gen(args) -> int:
             raise ValueError("cascade export is only defined for --type rfst")
         text = regularity.emit_cascade_csv(regularity.build_dst_cascade(args.size))
     else:
-        dense = _dense(_build_transform(args.type, args.size))
+        dense = _build_transform(args.type, args.size).as_matrix()
         text = transforms.emit_matrix_text(dense.entries)
     _write_text(args.out, text)
     return 0
 
 
 def _cmd_check(args) -> int:
-    dense = _dense(_build_transform(args.type, args.size))
+    dense = _build_transform(args.type, args.size).as_matrix()
     response = dense.entries @ np.ones(dense.size)
     print(f"orthonormality_residual,{dense.orthonormality_residual():.17g}")
     print("dc_response," + ",".join(f"{x:.17g}" for x in response))
@@ -105,7 +98,7 @@ def _cmd_opcount(args) -> int:
 
 def _cmd_equiv(args) -> int:
     witness = signed_perm_equivalent(
-        rdst(args.size), regularity.rfst(args.size).as_matrix(), args.tol
+        rdst(args.size), regularity.rfst(args.size), args.tol
     )
     if witness is None:
         print("FAIL")

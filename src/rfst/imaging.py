@@ -19,6 +19,7 @@ passes in reverse order.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ from .transforms import OrthonormalTransform, _check_size
 
 try:
     from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
+except ImportError:  # BLAS threads are then left as the environment sets them
     threadpool_limits = None
 
 COEFF_MAGIC = b"RFC1"
@@ -297,9 +298,11 @@ def bench_postprocessing(
     Both variants run the forward pipeline that forward_2d ships, with
     the same sine core; one streams the reflection cascade, the other
     multiplies the even coefficients by the dense half-size matrix.
-    Runs single-threaded (BLAS thread pools are capped) and reports the
-    medians, their difference, and the max absolute discrepancy between
-    the two coefficient planes.
+    BLAS thread pools are capped to one thread when threadpoolctl is
+    installed; otherwise they run as the environment (for example
+    OPENBLAS_NUM_THREADS) sets them.  Reports the medians, their
+    difference, and the max absolute discrepancy between the two
+    coefficient planes.
     """
     _check_divisible((image_size, image_size), m)
     rng = np.random.default_rng(seed)
@@ -327,20 +330,14 @@ def bench_postprocessing(
         run(post)
         return time.perf_counter() - start
 
-    def bench_loop() -> tuple[list[float], list[float]]:
+    pinned = threadpool_limits(limits=1) if threadpool_limits else contextlib.nullcontext()
+    with pinned:
         for post in (cascade_post, dense_post):  # warm buffers and BLAS dispatch
             timed(post)
         cascade_times, dense_times = [], []
         for _ in range(repeats):
             cascade_times.append(timed(cascade_post))
             dense_times.append(timed(dense_post))
-        return cascade_times, dense_times
-
-    if threadpool_limits is not None:
-        with threadpool_limits(limits=1):
-            cascade_times, dense_times = bench_loop()
-    else:  # pragma: no cover
-        cascade_times, dense_times = bench_loop()
 
     diff = float(np.abs(run(cascade_post).copy() - run(dense_post)).max())
     cascade_median = float(np.median(cascade_times))

@@ -16,12 +16,13 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .regularity import FastRegularTransform, build_dst_cascade
+from .regularity import build_dst_cascade, dense_entries
 from .transforms import OrthonormalTransform, _check_size, dst2
 
 NULL_SV_RTOL = 1e-10
 NULL_RESIDUAL_TOL = 1e-10
 EQUIV_DEFAULT_TOL = 1e-8
+RDST_MAX_SIZE = 512  # rdst(512) took 23 s on one BLAS thread; each doubling costs ~10x
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,16 @@ def rdst_stages(m: int) -> Iterator[ModifiedDst]:
     """Yield the matrix after each odd-row replacement of the null-space design.
 
     Stage k zeroes row 2k+1, extracts the null vector of what remains,
-    and reinstalls it; M/2 stages replace every odd row.
+    and reinstalls it; M/2 stages replace every odd row.  Sizes above
+    RDST_MAX_SIZE are rejected: M/2 SVDs of M x M cost O(M^4).
     """
     _check_size(m)
     m = int(m)
+    if m > RDST_MAX_SIZE:
+        raise ValueError(
+            f"rdst size {m} exceeds {RDST_MAX_SIZE}; the null-space construction "
+            f"runs M/2 SVDs of M x M, O(M^4)"
+        )
     rows = modified_dst(m).rows.copy()
     for k in range(m // 2):
         zeroed = rows.copy()
@@ -96,10 +103,8 @@ def rdst_stages(m: int) -> Iterator[ModifiedDst]:
 
 def rdst(m: int) -> OrthonormalTransform:
     """Regular sine transform built by repeated null-space row replacement."""
-    last = None
     for last in rdst_stages(m):
         pass
-    assert last is not None
     return OrthonormalTransform(last.rows, kind="RDST")
 
 
@@ -116,14 +121,6 @@ class SignedPermEquivalence:
     max_residual: float
 
 
-def _dense(t) -> np.ndarray:
-    if isinstance(t, FastRegularTransform):
-        return t.as_matrix().entries
-    if isinstance(t, OrthonormalTransform):
-        return t.entries
-    return np.asarray(t, dtype=np.float64)
-
-
 def signed_perm_equivalent(
     a, b, tol: float = EQUIV_DEFAULT_TOL
 ) -> Optional[SignedPermEquivalence]:
@@ -135,8 +132,8 @@ def signed_perm_equivalent(
     """
     from scipy.optimize import linear_sum_assignment  # 0.2 s to import; only this needs it
 
-    a = _dense(a)
-    b = _dense(b)
+    a, _ = dense_entries(a)
+    b, _ = dense_entries(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     m = a.shape[0]

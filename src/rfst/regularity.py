@@ -25,6 +25,7 @@ from .transforms import (
     GivensReflection,
     OrthonormalTransform,
     _check_size,
+    dst2,
     reflect_pair,
 )
 
@@ -144,23 +145,17 @@ class RegularityCascade:
         return self.apply(mat)
 
 
-def build_general_cascade(t: OrthonormalTransform) -> RegularityCascade:
-    """Cascade of M - 1 reflections making an arbitrary orthonormal transform regular.
+def _cascade(t: OrthonormalTransform, partners) -> RegularityCascade:
+    """Reflections on (0, j), j in partners order, zeroing entry j of t's DC response.
 
-    Walks j = 1..M-1, at each step zeroing entry j of the running DC
-    response with a reflection on (0, j) whose angle is
-    atan2(a[j], a[0]).  With the two-argument arctangent the leading
-    entry becomes +sqrt(a[0]^2 + a[j]^2) at every step, so the final
-    response is exactly [sqrt(M), 0, ..., 0] with a positive lead.
-
-    Zero entries still get a (zero-angle) reflection appended, keeping
-    the cascade length fixed at M - 1.  Raises if the leading entry of
-    the response vanishes, since no reflection angle is defined then.
+    Each angle is atan2(a[j], a[0]) of the running response a, so the
+    leading entry becomes +sqrt(a[0]^2 + a[j]^2) at every step.  Zero
+    entries still get a (zero-angle) reflection.  Raises if the leading
+    entry vanishes, since no reflection angle is defined then.
     """
-    m = t.size
-    a = t.entries @ np.ones(m)
+    a = t.entries @ np.ones(t.size)
     reflections = []
-    for j in range(1, m):
+    for j in partners:
         if a[0] == 0.0:
             raise ValueError(
                 "leading DC-response entry vanished; cannot derive a reflection angle"
@@ -168,30 +163,22 @@ def build_general_cascade(t: OrthonormalTransform) -> RegularityCascade:
         theta = math.atan2(a[j], a[0])
         reflections.append(GivensReflection(0, j, theta))
         reflect_pair(a, 0, j, math.cos(theta), math.sin(theta))
-    return RegularityCascade(tuple(reflections), m)
+    return RegularityCascade(tuple(reflections), t.size)
+
+
+def build_general_cascade(t: OrthonormalTransform) -> RegularityCascade:
+    """Cascade of M - 1 reflections making an arbitrary orthonormal transform regular.
+
+    Walks j = 1..M-1, so the final DC response is exactly
+    [sqrt(M), 0, ..., 0] with a positive lead, and the cascade length
+    is fixed at M - 1.
+    """
+    return _cascade(t, range(1, t.size))
 
 
 def build_dst_cascade(m: int) -> RegularityCascade:
-    """Reduced cascade of M/2 - 1 reflections for the type-II sine transform.
-
-    The sine transform leaks DC only into even-indexed subbands, so the
-    odd indices can be skipped entirely: the k-th reflection acts on
-    (0, 2k) with angle atan2(a[2k], a[0]) taken from the running
-    response, k = 1..M/2-1.  For m = 2 the transform is already regular
-    and the cascade is empty.
-    """
-    from .transforms import dst2
-
-    _check_size(m)
-    m = int(m)
-    a = dst2(m).entries @ np.ones(m)
-    reflections = []
-    for k in range(1, m // 2):
-        j = 2 * k
-        theta = math.atan2(a[j], a[0])
-        reflections.append(GivensReflection(0, j, theta))
-        reflect_pair(a, 0, j, math.cos(theta), math.sin(theta))
-    return RegularityCascade(tuple(reflections), m)
+    """Reduced cascade of M/2 - 1 reflections for the type-II sine transform."""
+    return rfst(m).cascade
 
 
 @dataclass(frozen=True)
@@ -231,16 +218,33 @@ class FastRegularTransform:
         return self.core.entries.T @ y
 
     def as_matrix(self) -> OrthonormalTransform:
-        """Densified operator, tagged RFST."""
+        """Densified operator, tagged RFST; built and Gram-checked once per instance."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> OrthonormalTransform:
         entries = self.cascade.apply(self.core.entries.copy())
         return OrthonormalTransform(entries, kind="RFST")
 
 
 def rfst(m: int) -> FastRegularTransform:
-    """Regular fast sine transform of size m (sine core plus reduced cascade)."""
-    from .transforms import dst2
+    """Regular fast sine transform of size m: the sine core plus its reduced cascade.
 
-    return FastRegularTransform(core=dst2(m), cascade=build_dst_cascade(m))
+    The sine transform leaks DC only into even-indexed subbands, so the
+    odd indices are skipped: the k-th reflection acts on (0, 2k),
+    k = 1..M/2-1.  For m = 2 the transform is already regular and the
+    cascade is empty.
+    """
+    core = dst2(m)
+    return FastRegularTransform(core=core, cascade=_cascade(core, range(2, core.size, 2)))
+
+
+def dense_entries(t) -> tuple[np.ndarray, str]:
+    """Dense entries and kind tag of a transform, or of a raw matrix tagged CUSTOM."""
+    if isinstance(t, (OrthonormalTransform, FastRegularTransform)):
+        dense = t.as_matrix()
+        return dense.entries, dense.kind
+    return np.asarray(t, dtype=np.float64), "CUSTOM"
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,10 @@ class OrthonormalTransform:
     def orthonormality_residual(self) -> float:
         return float(np.abs(self.entries @ self.entries.T - np.eye(self.size)).max())
 
+    def as_matrix(self) -> OrthonormalTransform:
+        """Already dense; every transform answers as_matrix()."""
+        return self
+
 
 @dataclass(frozen=True)
 class GivensReflection:

@@ -1,5 +1,6 @@
 """Command-line behaviors: formats, files, exit codes."""
 
+import importlib
 import math
 
 import numpy as np
@@ -119,6 +120,19 @@ def test_equiv_failure_exit_code(capsys):
     assert code == 2
     assert out.strip() == "FAIL"
     assert "signed row permutation" in err
+
+
+@pytest.mark.parametrize("argv", (("gen", "--type", "rdst"), ("equiv",)))
+def test_rdst_above_the_size_cap_exits_one_at_once(capsys, monkeypatch, argv):
+    def no_svd(rows):
+        pytest.fail("the null-space construction started above the size cap")
+
+    # the package-level name rfst.rdst is the function, so fetch the module
+    monkeypatch.setattr(importlib.import_module("rfst.rdst"), "null_vector", no_svd)
+    code, out, err = run(capsys, *argv, "--size", "1024")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rfst: error: rdst size 1024 exceeds 512")
 
 
 def test_freq_writes_row_files(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 
 import rfst as rfst_package
 from rfst.rdst import (
+    RDST_MAX_SIZE,
     apply_half_postprocessing,
     half_postprocessing_matrix,
     modified_dst,
@@ -164,3 +165,11 @@ def test_fast_apply_validates_shape():
 
 def test_rdst_two_equals_sine_two():
     assert np.abs(rdst(2).entries - dst2(2).entries).max() <= 1e-15
+
+
+def test_rdst_rejects_sizes_above_the_cap():
+    with pytest.raises(ValueError, match="exceeds 512"):
+        next(rdst_stages(2 * RDST_MAX_SIZE))
+    with pytest.raises(ValueError, match="exceeds 512"):
+        rdst(2 * RDST_MAX_SIZE)
+    assert next(rdst_stages(RDST_MAX_SIZE)).stage == 1

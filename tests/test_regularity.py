@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rfst import regularity
 from rfst.opcount import measure_cascade_ops, measure_half_postprocessing_ops
 from rfst.regularity import (
     DcResponse,
@@ -145,6 +146,32 @@ def test_fast_transform_round_trip_and_regularity():
         t.forward(np.ones(5))
     with pytest.raises(ValueError):
         t.inverse(np.ones(5))
+
+
+def test_as_matrix_densifies_once():
+    t = rfst(8)
+    dense = t.as_matrix()
+    assert dense is t.as_matrix()
+    assert dense.kind == "RFST"
+    assert np.array_equal(dense.entries, t.cascade.apply(t.core.entries.copy()))
+    assert t.core.as_matrix() is t.core
+
+
+def test_rfst_builds_the_sine_transform_once(monkeypatch):
+    calls = []
+
+    def counting_dst2(m):
+        calls.append(m)
+        return dst2(m)
+
+    monkeypatch.setattr(regularity, "dst2", counting_dst2)
+    rfst(16)
+    assert calls == [16]
+
+
+@pytest.mark.parametrize("m", (2, 4, 8, 1024))
+def test_dst_cascade_is_the_rfst_cascade(m):
+    assert build_dst_cascade(m) == rfst(m).cascade
 
 
 def test_fast_transform_mismatched_sizes_rejected():
