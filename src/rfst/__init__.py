@@ -25,7 +25,7 @@ from .imaging import (
     write_coeff_file,
     write_pgm,
 )
-from .rdst import rdst, rdst_fast_apply, signed_perm_equivalent
+from .rdst import rdst, signed_perm_equivalent
 from .regularity import (
     FastRegularTransform,
     RegularityCascade,
@@ -59,7 +59,6 @@ __all__ = [
     "hadamard",
     "inverse_2d",
     "rdst",
-    "rdst_fast_apply",
     "read_coeff_file",
     "read_pgm",
     "rfst",

@@ -10,6 +10,7 @@ exactly the process variance, so the gain in dB reduces to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,10 +92,20 @@ def frequency_response(t, row: int, n_points: int = 512) -> FrequencyResponse:
         raise ValueError(f"row {row} out of range for size {m}")
     if n_points < 2:
         raise ValueError("need at least two frequency samples")
+    omegas, phases = _phase_grid(m, n_points)
+    magnitudes = np.abs(phases @ entries[row])
+    return FrequencyResponse(row=row, omegas=omegas.copy(), magnitudes=magnitudes)
+
+
+@lru_cache(maxsize=1)
+def _phase_grid(m: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    # `rfst freq` asks for every row of one size in turn; the arrays are
+    # shared between calls, so they are read-only and never handed out
     omegas = np.linspace(0.0, np.pi, n_points)
     phases = np.exp(-1j * omegas[:, None] * np.arange(m)[None, :])
-    magnitudes = np.abs(phases @ entries[row])
-    return FrequencyResponse(row=row, omegas=omegas, magnitudes=magnitudes)
+    omegas.setflags(write=False)
+    phases.setflags(write=False)
+    return omegas, phases
 
 
 def coding_gain_csv_row(report: CodingGainReport, label: str | None = None) -> str:

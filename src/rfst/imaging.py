@@ -127,7 +127,11 @@ def parse_pgm(data: bytes) -> GrayImage:
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
         raise ValueError("truncated PGM raster")
+    if len(data) > pos + width * height:
+        raise ValueError("trailing bytes after PGM raster")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if maxval < 255 and pixels.max() > maxval:
+        raise ValueError(f"PGM pixel value {pixels.max()} exceeds maxval {maxval}")
     return GrayImage(pixels.copy())
 
 
@@ -147,15 +151,23 @@ def emit_coeff_file(plane: CoeffPlane) -> bytes:
 def parse_coeff_file(data: bytes) -> CoeffPlane:
     if data[:4] != COEFF_MAGIC:
         raise ValueError("not a coefficient file (bad magic)")
-    width, height, block, reserved = np.frombuffer(data[4:20], dtype="<u4")
+    if len(data) < 20:
+        raise ValueError("truncated coefficient header")
+    width, height, block, reserved = np.frombuffer(data[4:20], dtype="<u4").tolist()
     if reserved != 0:
         raise ValueError("reserved header field must be zero")
-    count = int(width) * int(height)
+    if width == 0 or height == 0:
+        raise ValueError(f"empty coefficient plane {width}x{height}")
+    count = width * height
     raw = data[20 : 20 + 8 * count]
     if len(raw) != 8 * count:
         raise ValueError("truncated coefficient payload")
-    values = np.frombuffer(raw, dtype="<f8").reshape(int(height), int(width))
-    return CoeffPlane(values.copy(), block=int(block))
+    if len(data) > 20 + 8 * count:
+        raise ValueError("trailing bytes after coefficient payload")
+    values = np.frombuffer(raw, dtype="<f8").reshape(height, width)
+    if not np.isfinite(values).all():
+        raise ValueError("coefficient payload holds NaN or infinite values")
+    return CoeffPlane(values.copy(), block=block)
 
 
 def read_coeff_file(path) -> CoeffPlane:

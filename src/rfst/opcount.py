@@ -19,10 +19,6 @@ class OpCounter:
     mul: int = 0
     add: int = 0
 
-    def reset(self) -> None:
-        self.mul = 0
-        self.add = 0
-
 
 def _value(x) -> float:
     if isinstance(x, CountingScalar):

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .regularity import build_dst_cascade, dense_entries
-from .transforms import OrthonormalTransform, _check_size, dst2
+from .transforms import OrthonormalTransform, _check_size
 
 NULL_SV_RTOL = 1e-10
 NULL_RESIDUAL_TOL = 1e-10
@@ -170,35 +170,9 @@ def half_postprocessing_matrix(m: int) -> np.ndarray:
 def apply_half_postprocessing(pp: np.ndarray, v):
     """Apply the half-size block to the even-coefficient vector (or its columns).
 
-    Object-dtype input (instrumented scalars) takes an explicit
-    sum-of-products path: per output row, M/2 multiplications and
-    M/2 - 1 additions, which is the dense-half accounting model.
+    On object arrays of instrumented scalars numpy's matmul starts each
+    output row from its first product, so it costs M/2 multiplications
+    and M/2 - 1 additions per row, which is the dense-half accounting
+    model.
     """
-    if getattr(v, "dtype", None) == object:
-        n = pp.shape[0]
-        out = np.empty(n, dtype=object)
-        for r in range(n):
-            acc = float(pp[r, 0]) * v[0]
-            for c in range(1, n):
-                acc = acc + float(pp[r, c]) * v[c]
-            out[r] = acc
-        return out
     return pp @ v
-
-
-def rdst_fast_apply(m: int, x: np.ndarray) -> np.ndarray:
-    """Sine transform followed by the dense half-size postprocessing.
-
-    Equals the cascade route to within rounding, but costs M^2/4 extra
-    multiplications per vector instead of 2(M-2).
-    """
-    _check_size(m)
-    m = int(m)
-    if m < 4:
-        raise ValueError("fast-apply with half-size postprocessing requires size >= 4")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != m:
-        raise ValueError(f"expected leading dimension {m}, got {x.shape[0]}")
-    y = dst2(m).entries @ x
-    y[0::2] = apply_half_postprocessing(half_postprocessing_matrix(m), y[0::2])
-    return y

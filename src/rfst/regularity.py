@@ -29,44 +29,7 @@ from .transforms import (
     reflect_pair,
 )
 
-DC_NORM_TOL = 1e-12
-
 OP_COUNT_STYLES = ("cascade", "dense_half")
-
-
-@dataclass(frozen=True)
-class DcResponse:
-    """Transform output for the all-ones input, after `stage` reflections.
-
-    Reflections preserve the Euclidean norm, so the response always has
-    norm sqrt(M); this is enforced on construction.
-    """
-
-    values: np.ndarray
-    stage: int = 1
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("DC response must be a vector")
-        if self.stage < 1:
-            raise ValueError("stage counter starts at 1")
-        m = values.shape[0]
-        norm = float(np.linalg.norm(values))
-        if abs(norm - math.sqrt(m)) > DC_NORM_TOL * math.sqrt(m):
-            raise ValueError(
-                f"DC response norm {norm:.17g} differs from sqrt({m})"
-            )
-        object.__setattr__(self, "values", values)
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-
-def dc_response(t: OrthonormalTransform) -> DcResponse:
-    """Response of a transform to the constant (all ones) input."""
-    return DcResponse(t.entries @ np.ones(t.size), stage=1)
 
 
 @dataclass(frozen=True)
@@ -99,14 +62,6 @@ class RegularityCascade:
             (g.i, g.j, math.cos(g.theta), math.sin(g.theta)) for g in self.reflections
         )
 
-    @cached_property
-    def _shared_pivot(self) -> bool:
-        # every reflection touches row 0, and no partner row repeats
-        partners = [g.j for g in self.reflections]
-        return all(g.i == 0 for g in self.reflections) and len(set(partners)) == len(
-            partners
-        )
-
     def apply(self, v, inverse: bool = False):
         """Stream the cascade through v in place and return v.
 
@@ -115,8 +70,7 @@ class RegularityCascade:
         inverse order works because each reflection is an involution.
         """
         if (
-            self._shared_pivot
-            and isinstance(v, np.ndarray)
+            isinstance(v, np.ndarray)
             and v.ndim == 2
             and v.dtype == np.float64
             and v.flags.c_contiguous
@@ -129,13 +83,10 @@ class RegularityCascade:
 
     def _apply_rows_blas(self, rows: np.ndarray, inverse: bool) -> np.ndarray:
         # A reflection is a plane rotation applied after negating the partner
-        # row.  Because the pivot row is shared and each partner row is read
-        # by exactly one reflection, all the negations can be hoisted into a
-        # single sweep, leaving one fused BLAS kernel per row pair.
-        for _, j, _, _ in self._terms:
-            np.negative(rows[j], out=rows[j])
+        # row: [[c, s], [s, -c]] = [[c, -s], [s, c]] @ diag(1, -1).
         order = reversed(self._terms) if inverse else self._terms
         for i, j, c, s in order:
+            np.negative(rows[j], out=rows[j])
             drot(rows[i], rows[j], c, -s, overwrite_x=1, overwrite_y=1)
         return rows
 
@@ -203,11 +154,7 @@ class FastRegularTransform:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Core transform then cascade; columns of a 2-D input are independent."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.size:
-            raise ValueError(f"expected leading dimension {self.size}, got {x.shape[0]}")
-        y = self.core.entries @ x
-        return self.cascade.apply(y)
+        return self.cascade.apply(self.core.apply(x))
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         """Exact inverse: reflections undone in reverse order, then the core transpose."""

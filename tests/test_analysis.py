@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rfst import analysis
 from rfst.analysis import (
     Ar1Process,
     coding_gain,
@@ -100,6 +101,20 @@ def test_frequency_response_of_sine_rows_leaks_at_dc():
     mags = [frequency_response(dst2(8), row, n_points=3).magnitudes[0] for row in range(8)]
     leaking = [row for row, mag in enumerate(mags) if mag > 1e-9]
     assert leaking == [0, 2, 4, 6]
+
+
+def test_frequency_response_builds_its_grid_once():
+    analysis._phase_grid.cache_clear()
+    t = rfst(16)
+    entries = t.as_matrix().entries
+    omegas = np.linspace(0.0, np.pi, 33)
+    phases = np.exp(-1j * omegas[:, None] * np.arange(16)[None, :])
+    for row in range(16):
+        fr = frequency_response(t, row, n_points=33)
+        assert np.array_equal(fr.magnitudes, np.abs(phases @ entries[row]))
+        fr.omegas[:] = -1.0  # a caller's copy; the shared grid stays intact
+    assert analysis._phase_grid.cache_info().misses == 1
+    assert np.array_equal(frequency_response(t, 0, n_points=33).omegas, omegas)
 
 
 def test_frequency_response_validation():

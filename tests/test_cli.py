@@ -205,6 +205,29 @@ def test_image_inverse_rejects_bad_block_header(tmp_path, capsys):
     assert err.startswith("rfst: error:") and "power of two" in err
 
 
+def test_image_forward_rejects_trailing_bytes(tmp_path, capsys):
+    src, out = tmp_path / "in.pgm", tmp_path / "c.rfc"
+    src.write_bytes(b"P5\n8 8\n255\n" + bytes(64) + b"\n")
+    code, stdout, err = run(capsys, "image", "forward", "--transform", "rfst",
+                            "--block", "8", "--in", str(src), "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("rfst: error:") and "trailing" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "width,payload", [(0, b""), (8, np.full(64, np.nan).tobytes())], ids=["empty", "nan"]
+)
+def test_image_inverse_rejects_empty_or_nan_planes(tmp_path, capsys, width, payload):
+    coeff, out = tmp_path / "c.rfc", tmp_path / "o.pgm"
+    coeff.write_bytes(b"RFC1" + np.array([width, 8, 8, 0], dtype="<u4").tobytes() + payload)
+    code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst",
+                            "--block", "8", "--in", str(coeff), "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("rfst: error:")
+    assert not out.exists()
+
+
 def test_image_missing_input(tmp_path, capsys):
     code, _, err = run(capsys, "image", "forward", "--transform", "rfst",
                        "--block", "8", "--in", str(tmp_path / "nope.pgm"),

@@ -71,6 +71,11 @@ def test_pgm_rejects_bad_inputs():
         parse_pgm(b"P5\n2")  # truncated header
     with pytest.raises(ValueError):
         parse_pgm(b"P5\n0 2\n255\n")
+    with pytest.raises(ValueError, match="trailing"):
+        parse_pgm(b"P5\n2 2\n255\n" + bytes(5))
+    with pytest.raises(ValueError, match="exceeds maxval"):
+        parse_pgm(b"P5\n2 2\n15\n" + bytes([0, 15, 16, 3]))
+    assert parse_pgm(b"P5\n2 2\n15\n" + bytes([0, 15, 15, 3])).pixels.max() == 15
 
 
 def test_pgm_file_round_trip(tmp_path):
@@ -110,6 +115,19 @@ def test_coeff_file_rejects_bad_inputs():
         tampered[12:16] = np.array([block], dtype="<u4").tobytes()  # block header word
         with pytest.raises(ValueError, match="power of two"):
             parse_coeff_file(bytes(tampered))
+    with pytest.raises(ValueError, match="trailing"):
+        parse_coeff_file(bytes(blob) + bytes(8))
+    with pytest.raises(ValueError, match="truncated"):
+        parse_coeff_file(bytes(blob[:12]))
+    for width, height in ((0, 4), (4, 0), (0, 0)):
+        header = np.array([width, height, 4, 0], dtype="<u4").tobytes()
+        with pytest.raises(ValueError, match="empty"):
+            parse_coeff_file(b"RFC1" + header)
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((4, 4))
+        values[2, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            parse_coeff_file(emit_coeff_file(CoeffPlane(values, block=4)))
 
 
 def _assert_per_block(plane, coeffs, mat):

@@ -30,7 +30,6 @@ def test_public_names_are_pinned_and_resolve():
         "hadamard",
         "inverse_2d",
         "rdst",
-        "rdst_fast_apply",
         "read_coeff_file",
         "read_pgm",
         "rfst",

@@ -16,7 +16,6 @@ from rfst.rdst import (
     modified_dst,
     null_vector,
     rdst,
-    rdst_fast_apply,
     rdst_stages,
     signed_perm_equivalent,
 )
@@ -133,8 +132,6 @@ def test_half_postprocessing_block(m):
 def test_half_postprocessing_requires_size_four():
     with pytest.raises(ValueError):
         half_postprocessing_matrix(2)
-    with pytest.raises(ValueError):
-        rdst_fast_apply(2, np.ones(2))
 
 
 def test_apply_half_postprocessing_object_path_matches_float_path():
@@ -145,22 +142,6 @@ def test_apply_half_postprocessing_object_path_matches_float_path():
     plain = apply_half_postprocessing(pp, v)
     assert np.abs(np.array([float(x) for x in counted]) - plain).max() <= 1e-15
     assert (counter.mul, counter.add) == (16, 12)
-
-
-@pytest.mark.parametrize("m", (4, 8, 16, 32))
-def test_fast_apply_equals_streaming_forward(m):
-    rng = np.random.default_rng(m)
-    t = rfst(m)
-    for _ in range(20):
-        x = rng.standard_normal(m)
-        assert np.abs(rdst_fast_apply(m, x) - t.forward(x)).max() <= 1e-13
-    block = rng.standard_normal((m, 6))
-    assert np.abs(rdst_fast_apply(m, block) - t.forward(block)).max() <= 1e-13
-
-
-def test_fast_apply_validates_shape():
-    with pytest.raises(ValueError):
-        rdst_fast_apply(8, np.ones(7))
 
 
 def test_rdst_two_equals_sine_two():

@@ -8,18 +8,16 @@ import pytest
 from rfst import regularity
 from rfst.opcount import measure_cascade_ops, measure_half_postprocessing_ops
 from rfst.regularity import (
-    DcResponse,
     FastRegularTransform,
     RegularityCascade,
     build_dst_cascade,
     build_general_cascade,
-    dc_response,
     emit_cascade_csv,
     extra_op_count,
     parse_cascade_csv,
     rfst,
 )
-from rfst.transforms import GivensReflection, OrthonormalTransform, dst2, hadamard
+from rfst.transforms import GivensReflection, OrthonormalTransform, dst2, hadamard, reflect_pair
 
 SIZES = (2, 4, 8, 16, 32, 64)
 
@@ -63,16 +61,6 @@ def test_single_angle_at_size_four():
     independent = math.atan((c - s) / (c + s))
     assert abs(cas.reflections[0].theta - math.pi / 8) <= 1e-15
     assert abs(cas.reflections[0].theta - independent) <= 1e-15
-
-
-def test_dc_response_helper():
-    resp = dc_response(dst2(8))
-    assert resp.size == 8
-    assert np.abs(resp.values - dst2(8).entries @ np.ones(8)).max() == 0.0
-    # odd-indexed entries of the sine DC response vanish
-    assert np.abs(resp.values[1::2]).max() <= 1e-15
-    with pytest.raises(ValueError):
-        DcResponse(2.0 * np.ones(8))  # norm 2*sqrt(8) is not sqrt(8)
 
 
 @pytest.mark.parametrize("m", (4, 8, 16))
@@ -126,6 +114,32 @@ def test_cascade_fast_path_matches_column_loop():
     # non-contiguous input falls back to the generic path, same answer
     fortran = np.asfortranarray(block.copy())
     assert np.abs(cas.apply(fortran) - per_column).max() <= 1e-13
+
+
+def test_cascade_fast_path_handles_any_pivot(monkeypatch):
+    # row 1 is a pivot and a partner, row 3 a partner twice: no shared pivot
+    cas = RegularityCascade(
+        (GivensReflection(1, 3, 0.3), GivensReflection(0, 1, -1.1), GivensReflection(0, 3, 2.0)),
+        4,
+    )
+    calls = []
+    real_drot = regularity.drot
+    monkeypatch.setattr(
+        regularity, "drot", lambda *a, **k: calls.append(1) or real_drot(*a, **k)
+    )
+    block = np.random.default_rng(8).standard_normal((4, 9))
+    for inverse in (False, True):
+        per_column = block.copy()
+        for col in range(block.shape[1]):
+            v = per_column[:, col].copy()
+            order = reversed(cas.reflections) if inverse else cas.reflections
+            for g in order:
+                reflect_pair(v, g.i, g.j, math.cos(g.theta), math.sin(g.theta))
+            per_column[:, col] = v
+        calls.clear()
+        out = cas.apply(block.copy(), inverse=inverse)
+        assert len(calls) == 3
+        assert np.abs(out - per_column).max() <= 1e-13
 
 
 def test_cascade_validates_reflection_range():
