@@ -29,8 +29,6 @@ from .rdst import rdst, signed_perm_equivalent
 from .regularity import (
     FastRegularTransform,
     RegularityCascade,
-    build_dst_cascade,
-    build_general_cascade,
     extra_op_count,
     rfst,
 )
@@ -47,8 +45,6 @@ __all__ = [
     "OrthonormalTransform",
     "RegularityCascade",
     "bench_postprocessing",
-    "build_dst_cascade",
-    "build_general_cascade",
     "coding_gain",
     "dc_leakage_energy",
     "dct2",

@@ -14,8 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .regularity import dense_entries
-
 DEFAULT_RHO = 0.95
 MEAN_VARIANCE_TOL = 1e-10
 
@@ -55,8 +53,8 @@ def coding_gain(t, rho: float = DEFAULT_RHO) -> CodingGainReport:
     for any orthonormal transform); inputs failing that check are
     rejected rather than silently producing a meaningless gain.
     """
-    entries, kind = dense_entries(t)
-    m = entries.shape[0]
+    dense = t.as_matrix()
+    entries, m = dense.entries, dense.size
     cov = Ar1Process(rho, m).covariance()
     variances = np.einsum("mi,ij,mj->m", entries, cov, entries)
     if abs(variances.mean() - 1.0) > MEAN_VARIANCE_TOL:
@@ -65,13 +63,13 @@ def coding_gain(t, rho: float = DEFAULT_RHO) -> CodingGainReport:
             "input transform is not orthonormal"
         )
     gain_db = float(-10.0 / m * np.sum(np.log10(variances)))
-    return CodingGainReport(kind=kind, size=m, rho=rho, subband_variances=variances, gain_db=gain_db)
+    return CodingGainReport(kind=dense.kind, size=m, rho=rho, subband_variances=variances, gain_db=gain_db)
 
 
 def dc_leakage_energy(t) -> float:
     """Energy of the constant input leaked outside subband 0 (equals M - a0^2)."""
-    entries, _ = dense_entries(t)
-    a = entries @ np.ones(entries.shape[0])
+    dense = t.as_matrix()
+    a = dense.entries @ np.ones(dense.size)
     return float(np.sum(a[1:] ** 2))
 
 
@@ -86,14 +84,14 @@ class FrequencyResponse:
 
 def frequency_response(t, row: int, n_points: int = 512) -> FrequencyResponse:
     """Sample |sum_n t[row, n] exp(-i w n)| at n_points frequencies from 0 to pi."""
-    entries, _ = dense_entries(t)
-    m = entries.shape[0]
+    dense = t.as_matrix()
+    m = dense.size
     if not 0 <= row < m:
         raise ValueError(f"row {row} out of range for size {m}")
     if n_points < 2:
         raise ValueError("need at least two frequency samples")
     omegas, phases = _phase_grid(m, n_points)
-    magnitudes = np.abs(phases @ entries[row])
+    magnitudes = np.abs(phases @ dense.entries[row])
     return FrequencyResponse(row=row, omegas=omegas.copy(), magnitudes=magnitudes)
 
 

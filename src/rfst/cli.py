@@ -13,10 +13,17 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, imaging, regularity, transforms
-from .rdst import rdst, signed_perm_equivalent
+from .rdst import EQUIV_DEFAULT_TOL, rdst, signed_perm_equivalent
 
-TRANSFORM_TYPES = ("dct", "dst", "ht", "rfst", "rdst")
+TRANSFORMS = {
+    "dct": transforms.dct2,
+    "dst": transforms.dst2,
+    "ht": transforms.hadamard,
+    "rfst": regularity.rfst,
+    "rdst": rdst,
+}
 TABLE1_SIZES = (2, 4, 8, 16, 32)
+MAX_SIZE = 4096  # the largest size measured: rfst(4096) takes 4-5 s and ~710 MiB at peak
 
 
 class _UsageError(Exception):
@@ -30,18 +37,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _build_transform(kind: str, size: int):
-    if kind == "dct":
-        return transforms.dct2(size)
-    if kind == "dst":
-        return transforms.dst2(size)
-    if kind == "ht":
-        return transforms.hadamard(size)
-    if kind == "rfst":
-        return regularity.rfst(size)
-    if kind == "rdst":
-        return rdst(size)
-    raise ValueError(f"unknown transform type {kind!r}")
+def _size(text: str) -> int:
+    """A --size or --block that builds a transform, checked before anything is built."""
+    try:
+        size = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if size > MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"{size} exceeds the largest size {MAX_SIZE}")
+    return size
 
 
 def _write_text(out, text: str) -> None:
@@ -55,16 +59,16 @@ def _cmd_gen(args) -> int:
     if args.what == "cascade":
         if args.type != "rfst":
             raise ValueError("cascade export is only defined for --type rfst")
-        text = regularity.emit_cascade_csv(regularity.build_dst_cascade(args.size))
+        text = regularity.emit_cascade_csv(regularity.rfst(args.size).cascade)
     else:
-        dense = _build_transform(args.type, args.size).as_matrix()
+        dense = TRANSFORMS[args.type](args.size).as_matrix()
         text = transforms.emit_matrix_text(dense.entries)
     _write_text(args.out, text)
     return 0
 
 
 def _cmd_check(args) -> int:
-    dense = _build_transform(args.type, args.size).as_matrix()
+    dense = TRANSFORMS[args.type](args.size).as_matrix()
     response = dense.entries @ np.ones(dense.size)
     print(f"orthonormality_residual,{dense.orthonormality_residual():.17g}")
     print("dc_response," + ",".join(f"{x:.17g}" for x in response))
@@ -73,7 +77,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_coding_gain(args) -> int:
-    report = analysis.coding_gain(_build_transform(args.type, args.size), args.rho)
+    report = analysis.coding_gain(TRANSFORMS[args.type](args.size), args.rho)
     print("kind,M,rho,gain_db")
     print(analysis.coding_gain_csv_row(report, label=args.type))
     return 0
@@ -83,7 +87,7 @@ def _cmd_table1(args) -> int:
     print("kind,M,rho,gain_db")
     for kind in ("dst", "rfst", "ht"):
         for size in TABLE1_SIZES:
-            report = analysis.coding_gain(_build_transform(kind, size), args.rho)
+            report = analysis.coding_gain(TRANSFORMS[kind](size), args.rho)
             print(analysis.coding_gain_csv_row(report, label=kind))
     return 0
 
@@ -115,7 +119,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_freq(args) -> int:
-    transform = _build_transform(args.type, args.size)
+    transform = TRANSFORMS[args.type](args.size)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     width = len(str(args.size - 1))
@@ -128,7 +132,7 @@ def _cmd_freq(args) -> int:
 
 
 def _cmd_image(args) -> int:
-    transform = _build_transform(args.transform, args.block)
+    transform = TRANSFORMS[args.transform](args.block)
     if args.action == "forward":
         img = imaging.read_pgm(args.infile)
         imaging.write_coeff_file(imaging.forward_2d(img, transform), args.out)
@@ -165,20 +169,20 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[], help="emit a transform matrix or cascade")
-    p.add_argument("--type", required=True, choices=TRANSFORM_TYPES)
-    p.add_argument("--size", required=True, type=int)
+    p.add_argument("--type", required=True, choices=TRANSFORMS)
+    p.add_argument("--size", required=True, type=_size)
     p.add_argument("--what", choices=("matrix", "cascade"), default="matrix")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="print orthonormality residual, DC response, leakage")
-    p.add_argument("--type", required=True, choices=TRANSFORM_TYPES)
-    p.add_argument("--size", required=True, type=int)
+    p.add_argument("--type", required=True, choices=TRANSFORMS)
+    p.add_argument("--size", required=True, type=_size)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("coding-gain", help="coding gain of one transform as a CSV row")
-    p.add_argument("--type", required=True, choices=TRANSFORM_TYPES)
-    p.add_argument("--size", required=True, type=int)
+    p.add_argument("--type", required=True, choices=TRANSFORMS)
+    p.add_argument("--size", required=True, type=_size)
     p.add_argument("--rho", type=float, default=analysis.DEFAULT_RHO)
     p.set_defaults(func=_cmd_coding_gain)
 
@@ -192,26 +196,26 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("equiv", help="signed-permutation equivalence of the two designs")
     p.add_argument("--size", required=True, type=int)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=EQUIV_DEFAULT_TOL)
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("freq", help="per-row frequency response CSV files")
-    p.add_argument("--type", required=True, choices=TRANSFORM_TYPES)
-    p.add_argument("--size", required=True, type=int)
+    p.add_argument("--type", required=True, choices=TRANSFORMS)
+    p.add_argument("--size", required=True, type=_size)
     p.add_argument("--points", type=int, default=512)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_freq)
 
     p = sub.add_parser("image", help="blockwise transform, inverse, or subband mosaic")
     p.add_argument("action", choices=("forward", "inverse", "mosaic"))
-    p.add_argument("--transform", required=True, choices=TRANSFORM_TYPES)
-    p.add_argument("--block", required=True, type=int)
+    p.add_argument("--transform", required=True, choices=TRANSFORMS)
+    p.add_argument("--block", required=True, type=_size)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_image)
 
     p = sub.add_parser("bench", help="time cascade versus dense half-size postprocessing")
-    p.add_argument("--size", required=True, type=int)
+    p.add_argument("--size", required=True, type=_size)
     p.add_argument("--image-size", type=int, default=512)
     p.add_argument("--repeats", type=int, default=11)
     p.add_argument("--seed", type=int, default=0)

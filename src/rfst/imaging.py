@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rdst import half_postprocessing_matrix
+from .rdst import _half_block
 from .regularity import FastRegularTransform, rfst
 from .transforms import OrthonormalTransform, _check_size
 
@@ -239,6 +239,8 @@ def _blockwise_2d(src: np.ndarray, dst: np.ndarray, core: np.ndarray, post,
 
 def _check_divisible(shape, m: int) -> None:
     h, w = shape
+    if h <= 0 or w <= 0:
+        raise ValueError(f"image dimensions {w}x{h} must be positive")
     if h % m or w % m:
         raise ValueError(
             f"image dimensions {w}x{h} not divisible by block size {m}; "
@@ -314,14 +316,17 @@ def bench_postprocessing(
     installed; otherwise they run as the environment (for example
     OPENBLAS_NUM_THREADS) sets them.  Reports the medians, their
     difference, and the max absolute discrepancy between the two
-    coefficient planes.
+    coefficient planes.  repeats >= 1; image_size a positive multiple of m.
     """
+    _check_size(m)
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     _check_divisible((image_size, image_size), m)
     rng = np.random.default_rng(seed)
     img = GrayImage(rng.integers(0, 256, size=(image_size, image_size), dtype=np.uint8))
     fast = rfst(m)
     core = fast.core.entries
-    pp = half_postprocessing_matrix(m)
+    pp = _half_block(fast.cascade)
 
     # the integer-to-float conversion is identical for both styles, so it
     # stays outside the timed region

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .regularity import build_dst_cascade, dense_entries
+from .regularity import RegularityCascade, rfst
 from .transforms import OrthonormalTransform, _check_size
 
 NULL_SV_RTOL = 1e-10
@@ -25,32 +25,19 @@ EQUIV_DEFAULT_TOL = 1e-8
 RDST_MAX_SIZE = 512  # rdst(512) took 23 s on one BLAS thread; each doubling costs ~10x
 
 
-@dataclass(frozen=True)
-class ModifiedDst:
-    """Sine matrix with the constant row installed at index 0.
+def modified_dst(m: int) -> np.ndarray:
+    """Rank-deficient starting matrix: constant row plus M-1 sine rows.
 
-    Before any replacement the rows are linearly dependent (rank M-1):
-    the constant row lies in the span of the sine rows.  `stage` counts
-    completed row replacements.
+    The rows are linearly dependent (rank M-1): the constant row at
+    index 0 lies in the span of the sine rows.
     """
-
-    rows: np.ndarray
-    stage: int = 0
-
-    @property
-    def size(self) -> int:
-        return self.rows.shape[0]
-
-
-def modified_dst(m: int) -> ModifiedDst:
-    """Rank-deficient starting matrix: constant row plus M-1 sine rows."""
     _check_size(m)
     m = int(m)
     row = np.arange(m)[:, None]
     col = np.arange(m)[None, :]
     rows = np.sqrt(2.0 / m) * np.sin(np.pi / m * row * (col + 0.5))
     rows[0, :] = np.sqrt(1.0 / m)
-    return ModifiedDst(rows=rows, stage=0)
+    return rows
 
 
 def null_vector(rows: np.ndarray) -> np.ndarray:
@@ -79,7 +66,7 @@ def null_vector(rows: np.ndarray) -> np.ndarray:
     return v
 
 
-def rdst_stages(m: int) -> Iterator[ModifiedDst]:
+def rdst_stages(m: int) -> Iterator[np.ndarray]:
     """Yield the matrix after each odd-row replacement of the null-space design.
 
     Stage k zeroes row 2k+1, extracts the null vector of what remains,
@@ -93,19 +80,19 @@ def rdst_stages(m: int) -> Iterator[ModifiedDst]:
             f"rdst size {m} exceeds {RDST_MAX_SIZE}; the null-space construction "
             f"runs M/2 SVDs of M x M, O(M^4)"
         )
-    rows = modified_dst(m).rows.copy()
+    rows = modified_dst(m)
     for k in range(m // 2):
         zeroed = rows.copy()
         zeroed[2 * k + 1, :] = 0.0
         rows[2 * k + 1, :] = null_vector(zeroed)
-        yield ModifiedDst(rows=rows.copy(), stage=k + 1)
+        yield rows.copy()
 
 
 def rdst(m: int) -> OrthonormalTransform:
     """Regular sine transform built by repeated null-space row replacement."""
     for last in rdst_stages(m):
         pass
-    return OrthonormalTransform(last.rows, kind="RDST")
+    return OrthonormalTransform(last, kind="RDST")
 
 
 @dataclass(frozen=True)
@@ -128,12 +115,15 @@ def signed_perm_equivalent(
 
     Candidate pairs are scored by min(|a_m - b_p|_inf, |a_m + b_p|_inf)
     and resolved with an optimal assignment, so ties cannot derail the
-    matching.  A None result is a negative answer, not an error.
+    matching.  A None result is a negative answer, not an error; a
+    NaN or negative tol raises ValueError.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"equivalence tolerance must be a number >= 0, got {tol!r}")
     from scipy.optimize import linear_sum_assignment  # 0.2 s to import; only this needs it
 
-    a, _ = dense_entries(a)
-    b, _ = dense_entries(b)
+    a = a.as_matrix().entries
+    b = b.as_matrix().entries
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     m = a.shape[0]
@@ -160,11 +150,14 @@ def half_postprocessing_matrix(m: int) -> np.ndarray:
     The cascade never touches an odd coefficient, so its densified form
     is the identity on odd indices and this block on even indices.
     """
-    _check_size(m)
-    if m < 4:
+    return _half_block(rfst(m).cascade)
+
+
+def _half_block(cascade: RegularityCascade) -> np.ndarray:
+    """Even-index block of a densified cascade of size >= 4."""
+    if cascade.target_size < 4:
         raise ValueError("half-size postprocessing requires size >= 4")
-    dense = build_dst_cascade(m).as_matrix()
-    return np.ascontiguousarray(dense[0::2, 0::2])
+    return np.ascontiguousarray(cascade.as_matrix()[0::2, 0::2])
 
 
 def apply_half_postprocessing(pp: np.ndarray, v):

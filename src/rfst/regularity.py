@@ -122,14 +122,10 @@ def build_general_cascade(t: OrthonormalTransform) -> RegularityCascade:
 
     Walks j = 1..M-1, so the final DC response is exactly
     [sqrt(M), 0, ..., 0] with a positive lead, and the cascade length
-    is fixed at M - 1.
+    is fixed at M - 1.  Nothing in the package builds it; it is the
+    reference that the reduced cascade of rfst(M) is checked against.
     """
     return _cascade(t, range(1, t.size))
-
-
-def build_dst_cascade(m: int) -> RegularityCascade:
-    """Reduced cascade of M/2 - 1 reflections for the type-II sine transform."""
-    return rfst(m).cascade
 
 
 @dataclass(frozen=True)
@@ -186,14 +182,6 @@ def rfst(m: int) -> FastRegularTransform:
     return FastRegularTransform(core=core, cascade=_cascade(core, range(2, core.size, 2)))
 
 
-def dense_entries(t) -> tuple[np.ndarray, str]:
-    """Dense entries and kind tag of a transform, or of a raw matrix tagged CUSTOM."""
-    if isinstance(t, (OrthonormalTransform, FastRegularTransform)):
-        dense = t.as_matrix()
-        return dense.entries, dense.kind
-    return np.asarray(t, dtype=np.float64), "CUSTOM"
-
-
 @dataclass(frozen=True)
 class OpCountReport:
     """Extra multiplications/additions of a postprocessing style, beyond the core."""
@@ -230,22 +218,3 @@ def emit_cascade_csv(cascade: RegularityCascade) -> str:
     for k, g in enumerate(cascade.reflections, start=1):
         lines.append(f"{k},{g.i},{g.j},{g.theta:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def parse_cascade_csv(text: str, target_size: int) -> RegularityCascade:
-    """Parse the cascade CSV format; the target size is not stored in the file."""
-    reflections = []
-    expected_k = 1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line == "k,i,j,theta":
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"bad cascade row on line {lineno}: {line!r}")
-        k, i, j = int(parts[0]), int(parts[1]), int(parts[2])
-        if k != expected_k:
-            raise ValueError(f"cascade rows out of order at line {lineno}")
-        expected_k += 1
-        reflections.append(GivensReflection(i, j, float(parts[3])))
-    return RegularityCascade(tuple(reflections), target_size)

@@ -23,7 +23,6 @@ import numpy as np
 import scipy.linalg
 
 ORTHONORMALITY_TOL = 1e-12
-ROW_NORM_TOL = 1e-12
 
 KINDS = ("DCT2", "DST2", "HT", "RFST", "RDST", "CUSTOM")
 
@@ -42,9 +41,10 @@ class OrthonormalTransform:
     """Dense real orthonormal matrix tagged with how it was built.
 
     Row index is the output subband, column index the input sample.
-    Construction verifies orthonormality (max |T T' - I| <= 1e-12),
-    unit row norms, and that the size is a power of two.  The entry
-    array is frozen read-only so instances can be shared freely.
+    Construction verifies orthonormality (max |T T' - I| <= 1e-12, which
+    bounds every row norm too, as the squared norms sit on the Gram
+    diagonal) and that the size is a power of two.  The entry array is
+    frozen read-only so instances can be shared freely.
     """
 
     entries: np.ndarray
@@ -54,21 +54,16 @@ class OrthonormalTransform:
         entries = np.array(self.entries, dtype=np.float64, copy=True)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-        m = entries.shape[0]
-        _check_size(m)
+        _check_size(entries.shape[0])
         if self.kind not in KINDS:
             raise ValueError(f"unknown transform kind {self.kind!r}")
-        gram = entries @ entries.T
-        gram_residual = np.abs(gram - np.eye(m)).max()
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
+        gram_residual = self.orthonormality_residual()
         if gram_residual > ORTHONORMALITY_TOL:
             raise ValueError(
                 f"matrix is not orthonormal: max |T T' - I| = {gram_residual:.3e}"
             )
-        row_norms = np.sqrt((entries * entries).sum(axis=1))
-        if np.abs(row_norms - 1.0).max() > ROW_NORM_TOL:
-            raise ValueError("matrix rows are not unit-norm")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:
@@ -82,7 +77,10 @@ class OrthonormalTransform:
         return self.entries @ x
 
     def orthonormality_residual(self) -> float:
-        return float(np.abs(self.entries @ self.entries.T - np.eye(self.size)).max())
+        """max |T T' - I|, with I subtracted in place so no M x M identity is formed."""
+        gram = self.entries @ self.entries.T
+        gram[np.diag_indices(self.size)] -= 1.0
+        return float(np.abs(gram).max())
 
     def as_matrix(self) -> OrthonormalTransform:
         """Already dense; every transform answers as_matrix()."""
@@ -105,9 +103,6 @@ class GivensReflection:
     def __post_init__(self):
         if not (0 <= self.i < self.j):
             raise ValueError(f"reflection indices must satisfy 0 <= i < j, got ({self.i}, {self.j})")
-
-    def as_matrix(self, size: int) -> np.ndarray:
-        return reflection_matrix(self, size)
 
 
 def reflect_pair(v, i: int, j: int, cos_t: float, sin_t: float) -> None:
@@ -193,22 +188,3 @@ def emit_matrix_text(entries: np.ndarray) -> str:
     entries = np.asarray(entries, dtype=np.float64)
     lines = [",".join(f"{x:.17g}" for x in row) for row in entries]
     return "\n".join(lines) + "\n"
-
-
-def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse the matrix text format back into a float64 array."""
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"bad matrix literal on line {lineno}: {exc}") from None
-    if not rows:
-        raise ValueError("empty matrix text")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("matrix text rows have inconsistent lengths")
-    return np.array(rows, dtype=np.float64)

@@ -1,15 +1,18 @@
 """Command-line behaviors: formats, files, exit codes."""
 
 import importlib
+import io
 import math
 
 import numpy as np
 import pytest
 
+from rfst import cli, imaging, regularity
 from rfst.cli import main
 from rfst.imaging import GrayImage, read_coeff_file, read_pgm, write_pgm
+from rfst.rdst import EQUIV_DEFAULT_TOL
 from rfst.regularity import rfst
-from rfst.transforms import dst2, parse_matrix_text
+from rfst.transforms import dst2
 
 
 def run(capsys, *argv):
@@ -21,14 +24,14 @@ def run(capsys, *argv):
 def test_gen_matrix_to_stdout(capsys):
     code, out, err = run(capsys, "gen", "--type", "dst", "--size", "4")
     assert code == 0 and err == ""
-    assert np.array_equal(parse_matrix_text(out), dst2(4).entries)
+    assert np.array_equal(np.loadtxt(io.StringIO(out), delimiter=","), dst2(4).entries)
 
 
 def test_gen_matrix_to_file(tmp_path, capsys):
     target = tmp_path / "m.txt"
     code, out, _ = run(capsys, "gen", "--type", "rfst", "--size", "8", "--out", str(target))
     assert code == 0 and out == ""
-    parsed = parse_matrix_text(target.read_text())
+    parsed = np.loadtxt(target, delimiter=",")
     assert np.abs(parsed - rfst(8).as_matrix().entries).max() == 0.0
 
 
@@ -120,6 +123,14 @@ def test_equiv_failure_exit_code(capsys):
     assert code == 2
     assert out.strip() == "FAIL"
     assert "signed row permutation" in err
+
+
+def test_equiv_rejects_a_nan_tolerance(capsys):
+    # NaN compares false with every residual, so it would accept any matching
+    assert cli._build_parser().parse_args(["equiv", "--size", "8"]).tol == EQUIV_DEFAULT_TOL
+    code, out, err = run(capsys, "equiv", "--size", "8", "--tol", "nan")
+    assert code == 1 and out == ""
+    assert err.startswith("rfst: error: equivalence tolerance")
 
 
 @pytest.mark.parametrize("argv", (("gen", "--type", "rdst"), ("equiv",)))
@@ -249,6 +260,37 @@ def test_bench_csv_shape(capsys):
         "max_abs_diff",
     ]
     assert float(lines[4].split(",")[1]) <= 1e-10
+
+
+@pytest.mark.parametrize("argv", (
+    ("gen", "--type", "dst", "--size"),
+    ("gen", "--type", "rfst", "--what", "cascade", "--size"),
+    ("check", "--type", "rfst", "--size"),
+    ("coding-gain", "--type", "ht", "--size"),
+    ("freq", "--type", "dct", "--out", "unused", "--size"),
+    ("image", "forward", "--transform", "rfst", "--in", "a.pgm", "--out", "a.rfc", "--block"),
+    ("bench", "--size"),
+), ids=("gen", "gen-cascade", "check", "coding-gain", "freq", "image", "bench"))
+def test_sizes_above_the_cli_cap_exit_one_at_once(capsys, monkeypatch, argv):
+    def no_build(*args, **kwargs):
+        pytest.fail("a transform was built above the CLI size cap")
+
+    for kind in cli.TRANSFORMS:
+        monkeypatch.setitem(cli.TRANSFORMS, kind, no_build)
+    monkeypatch.setattr(regularity, "rfst", no_build)
+    monkeypatch.setattr(imaging, "bench_postprocessing", no_build)
+    code, out, err = run(capsys, *argv, "8192")
+    assert code == 1 and out == ""
+    assert err.endswith(f"error: argument {argv[-1]}: 8192 exceeds the largest size 4096\n")
+    assert getattr(cli._build_parser().parse_args([*argv, "4096"]), argv[-1][2:]) == 4096
+
+
+@pytest.mark.parametrize("flags", (("--repeats", "0"), ("--image-size", "0"), ("--size", "0")),
+                         ids=("repeats", "image-size", "size"))
+def test_bench_rejects_empty_or_zero_size_runs(capsys, flags):
+    code, out, err = run(capsys, "bench", "--size", "8", "--image-size", "64", *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("rfst: error:")
 
 
 def test_usage_errors_exit_one(capsys):

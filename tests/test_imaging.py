@@ -204,6 +204,8 @@ def test_shape_checks():
         inverse_2d(coeffs, rfst(4))
     with pytest.raises(TypeError):
         forward_2d(img, np.eye(4))
+    with pytest.raises(ValueError, match="must be positive"):
+        forward_2d(GrayImage(np.zeros((0, 8), dtype=np.uint8)), rfst(8))
 
 
 def test_subband_energy_partitions_total_energy():
@@ -263,3 +265,10 @@ def test_bench_validates_input():
         bench_postprocessing(8, image_size=100)
     with pytest.raises(ValueError):
         bench_postprocessing(2, image_size=64)
+    with pytest.raises(ValueError, match="power of two"):
+        bench_postprocessing(0, image_size=64)
+    for image_size in (0, -8):
+        with pytest.raises(ValueError, match="must be positive"):
+            bench_postprocessing(8, image_size=image_size)
+    with pytest.raises(ValueError, match="repeats"):
+        bench_postprocessing(8, image_size=64, repeats=0)

@@ -18,8 +18,6 @@ def test_public_names_are_pinned_and_resolve():
         "OrthonormalTransform",
         "RegularityCascade",
         "bench_postprocessing",
-        "build_dst_cascade",
-        "build_general_cascade",
         "coding_gain",
         "dc_leakage_energy",
         "dct2",

@@ -20,21 +20,20 @@ from rfst.rdst import (
     signed_perm_equivalent,
 )
 from rfst.opcount import OpCounter, counting_vector
-from rfst.regularity import build_dst_cascade, rfst
-from rfst.transforms import dst2, hadamard
+from rfst.regularity import rfst
+from rfst.transforms import OrthonormalTransform, dst2, hadamard
 
 
 @pytest.mark.parametrize("m", (2, 4, 8, 16, 32))
 def test_modified_dst_structure(m):
     start = modified_dst(m)
-    assert start.stage == 0
-    assert np.abs(start.rows[0] - math.sqrt(1.0 / m)).max() <= 1e-15
+    assert np.abs(start[0] - math.sqrt(1.0 / m)).max() <= 1e-15
     n = np.arange(m)
     for k in range(1, m):
         expected = math.sqrt(2.0 / m) * np.sin(np.pi / m * k * (n + 0.5))
-        assert np.abs(start.rows[k] - expected).max() <= 1e-15
+        assert np.abs(start[k] - expected).max() <= 1e-15
     # the constant row is a combination of the sine rows: rank M-1
-    assert np.linalg.matrix_rank(start.rows, tol=1e-10) == m - 1
+    assert np.linalg.matrix_rank(start, tol=1e-10) == m - 1
 
 
 def test_null_vector_finds_the_dropped_direction():
@@ -63,9 +62,16 @@ def test_null_vector_rejects_wrong_nullity():
 @pytest.mark.parametrize("m", (2, 4, 8, 16))
 def test_stages_progress_and_final_matrix(m):
     stages = list(rdst_stages(m))
-    assert [s.stage for s in stages] == list(range(1, m // 2 + 1))
+    assert len(stages) == m // 2
+    # stage k replaces odd row 2k+1 and leaves every other row as it was
+    before = modified_dst(m)
+    for k, after in enumerate(stages):
+        changed = np.flatnonzero(np.abs(after - before).max(axis=1) > 0.0)
+        assert set(changed) <= {2 * k + 1}
+        before = after
     final = rdst(m)
     assert final.kind == "RDST"
+    assert np.array_equal(final.entries, stages[-1])
     assert final.orthonormality_residual() <= 1e-12
     a = final.entries @ np.ones(m)
     assert abs(a[0] - math.sqrt(m)) <= 1e-12
@@ -86,6 +92,13 @@ def test_oracle_equivalent_to_cascade_route(m):
 
 def test_equivalence_is_a_negative_answer_not_an_error():
     assert signed_perm_equivalent(rfst(8), hadamard(8)) is None
+
+
+@pytest.mark.parametrize("tol", (float("nan"), -1e-8))
+def test_equivalence_rejects_a_nan_or_negative_tolerance(tol):
+    # NaN compares false with every residual, so it would accept any matching
+    with pytest.raises(ValueError, match="tolerance"):
+        signed_perm_equivalent(rfst(8), hadamard(8), tol)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -109,7 +122,7 @@ def test_equivalence_recovers_a_planted_witness():
     perm = rng.permutation(8)
     signs = rng.choice([-1.0, 1.0], size=8)
     shuffled = signs[:, None] * base[perm, :]
-    witness = signed_perm_equivalent(shuffled, base)
+    witness = signed_perm_equivalent(OrthonormalTransform(shuffled), OrthonormalTransform(base))
     assert witness is not None
     assert np.array_equal(witness.perm, perm)
     assert np.array_equal(witness.signs, signs)
@@ -121,7 +134,7 @@ def test_half_postprocessing_block(m):
     pp = half_postprocessing_matrix(m)
     assert pp.shape == (m // 2, m // 2)
     assert np.abs(pp @ pp.T - np.eye(m // 2)).max() <= 1e-14
-    dense = build_dst_cascade(m).as_matrix()
+    dense = rfst(m).cascade.as_matrix()
     assert np.abs(dense[0::2, 0::2] - pp).max() == 0.0
     # the cascade is the identity on odd coordinates
     assert np.abs(dense[1::2, 1::2] - np.eye(m // 2)).max() == 0.0
@@ -153,4 +166,4 @@ def test_rdst_rejects_sizes_above_the_cap():
         next(rdst_stages(2 * RDST_MAX_SIZE))
     with pytest.raises(ValueError, match="exceeds 512"):
         rdst(2 * RDST_MAX_SIZE)
-    assert next(rdst_stages(RDST_MAX_SIZE)).stage == 1
+    assert next(rdst_stages(RDST_MAX_SIZE)).shape == (RDST_MAX_SIZE, RDST_MAX_SIZE)

@@ -10,11 +10,9 @@ from rfst.opcount import measure_cascade_ops, measure_half_postprocessing_ops
 from rfst.regularity import (
     FastRegularTransform,
     RegularityCascade,
-    build_dst_cascade,
     build_general_cascade,
     emit_cascade_csv,
     extra_op_count,
-    parse_cascade_csv,
     rfst,
 )
 from rfst.transforms import GivensReflection, OrthonormalTransform, dst2, hadamard, reflect_pair
@@ -24,7 +22,7 @@ SIZES = (2, 4, 8, 16, 32, 64)
 
 @pytest.mark.parametrize("m", SIZES)
 def test_reduced_cascade_shape(m):
-    cas = build_dst_cascade(m)
+    cas = rfst(m).cascade
     assert len(cas) == m // 2 - 1
     assert [(g.i, g.j) for g in cas.reflections] == [(0, 2 * k) for k in range(1, m // 2)]
 
@@ -54,7 +52,7 @@ def test_rfst_small_matrix_values():
 
 
 def test_single_angle_at_size_four():
-    cas = build_dst_cascade(4)
+    cas = rfst(4).cascade
     assert len(cas) == 1
     # the lone angle closes the arctan identity: tan(pi/4 - x) at x = pi/8
     c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
@@ -90,7 +88,7 @@ def test_general_cascade_requires_nonzero_lead():
 
 def test_cascade_apply_matches_dense_and_inverts():
     rng = np.random.default_rng(5)
-    cas = build_dst_cascade(16)
+    cas = rfst(16).cascade
     dense = cas.as_matrix()
     assert np.abs(dense @ dense.T - np.eye(16)).max() <= 1e-14
     x = rng.standard_normal(16)
@@ -103,7 +101,7 @@ def test_cascade_apply_matches_dense_and_inverts():
 
 def test_cascade_fast_path_matches_column_loop():
     rng = np.random.default_rng(6)
-    cas = build_dst_cascade(32)
+    cas = rfst(32).cascade
     block = rng.standard_normal((32, 17))
     per_column = block.copy()
     for col in range(block.shape[1]):
@@ -183,14 +181,9 @@ def test_rfst_builds_the_sine_transform_once(monkeypatch):
     assert calls == [16]
 
 
-@pytest.mark.parametrize("m", (2, 4, 8, 1024))
-def test_dst_cascade_is_the_rfst_cascade(m):
-    assert build_dst_cascade(m) == rfst(m).cascade
-
-
 def test_fast_transform_mismatched_sizes_rejected():
     with pytest.raises(ValueError):
-        FastRegularTransform(core=dst2(8), cascade=build_dst_cascade(4))
+        FastRegularTransform(core=dst2(8), cascade=rfst(4).cascade)
 
 
 def test_extra_op_count_table():
@@ -208,7 +201,7 @@ def test_extra_op_count_table():
 
 @pytest.mark.parametrize("m", (4, 8, 16, 32))
 def test_instrumented_counts_match_formulas(m):
-    counted = measure_cascade_ops(build_dst_cascade(m))
+    counted = measure_cascade_ops(rfst(m).cascade)
     expect = extra_op_count(m, "cascade")
     assert (counted.mul, counted.add) == (expect.mul, expect.add)
     counted = measure_half_postprocessing_ops(m)
@@ -217,26 +210,16 @@ def test_instrumented_counts_match_formulas(m):
 
 
 def test_cascade_csv_round_trip():
-    cas = build_dst_cascade(8)
+    cas = rfst(8).cascade
     text = emit_cascade_csv(cas)
     lines = text.strip().split("\n")
     assert lines[0] == "k,i,j,theta"
     assert len(lines) == 4
     assert lines[1].startswith("1,0,2,")
-    again = parse_cascade_csv(text, 8)
-    assert len(again) == len(cas)
-    for g, h in zip(cas.reflections, again.reflections):
-        assert (g.i, g.j) == (h.i, h.j)
-        assert g.theta == h.theta  # 17 significant digits survive the trip
-
-
-def test_cascade_csv_rejects_malformed_rows():
-    with pytest.raises(ValueError):
-        parse_cascade_csv("k,i,j,theta\n1,0,2\n", 8)
-    with pytest.raises(ValueError):
-        parse_cascade_csv("k,i,j,theta\n2,0,2,0.5\n", 8)
-    with pytest.raises(ValueError):
-        parse_cascade_csv("k,i,j,theta\n1,0,12,0.5\n", 8)
+    rows = [line.split(",") for line in lines[1:]]
+    for k, (g, row) in enumerate(zip(cas.reflections, rows), start=1):
+        assert row[:3] == [str(k), str(g.i), str(g.j)]
+        assert float(row[3]) == g.theta  # 17 significant digits survive the trip
 
 
 def test_hadamard_coincidence_is_not_structural():
