@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, imaging, regularity, transforms
-from .rdst import EQUIV_DEFAULT_TOL, rdst, signed_perm_equivalent
+from .rdst import EQUIV_DEFAULT_TOL, check_equiv_tol, rdst, signed_perm_equivalent
 
 TRANSFORMS = {
     "dct": transforms.dct2,
@@ -23,7 +23,7 @@ TRANSFORMS = {
     "rdst": rdst,
 }
 TABLE1_SIZES = (2, 4, 8, 16, 32)
-MAX_SIZE = 4096  # the largest size measured: rfst(4096) takes 4-5 s and ~710 MiB at peak
+MAX_SIZE = 4096  # the largest size measured: rfst(4096) takes ~2.2 s and ~580 MiB at peak
 
 
 class _UsageError(Exception):
@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _size(text: str) -> int:
-    """A --size or --block that builds a transform, checked before anything is built."""
+    """A size flag whose value sets an allocation, capped before anything is allocated."""
     try:
         size = int(text)
     except ValueError:
@@ -101,6 +101,7 @@ def _cmd_opcount(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    check_equiv_tol(args.tol)
     witness = signed_perm_equivalent(
         rdst(args.size), regularity.rfst(args.size), args.tol
     )
@@ -202,7 +203,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("freq", help="per-row frequency response CSV files")
     p.add_argument("--type", required=True, choices=TRANSFORMS)
     p.add_argument("--size", required=True, type=_size)
-    p.add_argument("--points", type=int, default=512)
+    p.add_argument("--points", type=_size, default=512)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_freq)
 
@@ -216,7 +217,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="time cascade versus dense half-size postprocessing")
     p.add_argument("--size", required=True, type=_size)
-    p.add_argument("--image-size", type=int, default=512)
+    p.add_argument("--image-size", type=_size, default=512)
     p.add_argument("--repeats", type=int, default=11)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)

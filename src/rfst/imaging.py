@@ -72,6 +72,8 @@ class CoeffPlane:
         if values.ndim != 2:
             raise ValueError("coefficient plane must be 2-D")
         h, w = values.shape
+        if h == 0 or w == 0:
+            raise ValueError(f"empty coefficient plane {w}x{h}")
         if h % self.block or w % self.block:
             raise ValueError(
                 f"plane dimensions {w}x{h} not divisible by block size {self.block}"
@@ -156,8 +158,6 @@ def parse_coeff_file(data: bytes) -> CoeffPlane:
     width, height, block, reserved = np.frombuffer(data[4:20], dtype="<u4").tolist()
     if reserved != 0:
         raise ValueError("reserved header field must be zero")
-    if width == 0 or height == 0:
-        raise ValueError(f"empty coefficient plane {width}x{height}")
     count = width * height
     raw = data[20 : 20 + 8 * count]
     if len(raw) != 8 * count:

@@ -108,6 +108,12 @@ class SignedPermEquivalence:
     max_residual: float
 
 
+def check_equiv_tol(tol: float) -> None:
+    """Reject a NaN or negative tolerance, which no residual could be judged by."""
+    if not tol >= 0.0:
+        raise ValueError(f"equivalence tolerance must be a number >= 0, got {tol!r}")
+
+
 def signed_perm_equivalent(
     a, b, tol: float = EQUIV_DEFAULT_TOL
 ) -> Optional[SignedPermEquivalence]:
@@ -118,8 +124,7 @@ def signed_perm_equivalent(
     matching.  A None result is a negative answer, not an error; a
     NaN or negative tol raises ValueError.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"equivalence tolerance must be a number >= 0, got {tol!r}")
+    check_equiv_tol(tol)
     from scipy.optimize import linear_sum_assignment  # 0.2 s to import; only this needs it
 
     a = a.as_matrix().entries

@@ -133,6 +133,18 @@ def test_equiv_rejects_a_nan_tolerance(capsys):
     assert err.startswith("rfst: error: equivalence tolerance")
 
 
+@pytest.mark.parametrize("tol", ("nan", "-1"))
+def test_equiv_rejects_a_bad_tolerance_before_building(capsys, monkeypatch, tol):
+    def no_build(m):
+        pytest.fail("a design was built before the tolerance was checked")
+
+    monkeypatch.setattr(cli, "rdst", no_build)
+    monkeypatch.setattr(regularity, "rfst", no_build)
+    code, out, err = run(capsys, "equiv", "--size", "512", "--tol", tol)
+    assert code == 1 and out == ""
+    assert err.startswith("rfst: error: equivalence tolerance")
+
+
 @pytest.mark.parametrize("argv", (("gen", "--type", "rdst"), ("equiv",)))
 def test_rdst_above_the_size_cap_exits_one_at_once(capsys, monkeypatch, argv):
     def no_svd(rows):
@@ -270,7 +282,10 @@ def test_bench_csv_shape(capsys):
     ("freq", "--type", "dct", "--out", "unused", "--size"),
     ("image", "forward", "--transform", "rfst", "--in", "a.pgm", "--out", "a.rfc", "--block"),
     ("bench", "--size"),
-), ids=("gen", "gen-cascade", "check", "coding-gain", "freq", "image", "bench"))
+    ("bench", "--size", "8", "--image-size"),
+    ("freq", "--type", "dct", "--size", "8", "--out", "unused", "--points"),
+), ids=("gen", "gen-cascade", "check", "coding-gain", "freq", "image", "bench", "image-size",
+        "points"))
 def test_sizes_above_the_cli_cap_exit_one_at_once(capsys, monkeypatch, argv):
     def no_build(*args, **kwargs):
         pytest.fail("a transform was built above the CLI size cap")
@@ -282,7 +297,8 @@ def test_sizes_above_the_cli_cap_exit_one_at_once(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv, "8192")
     assert code == 1 and out == ""
     assert err.endswith(f"error: argument {argv[-1]}: 8192 exceeds the largest size 4096\n")
-    assert getattr(cli._build_parser().parse_args([*argv, "4096"]), argv[-1][2:]) == 4096
+    dest = argv[-1][2:].replace("-", "_")
+    assert getattr(cli._build_parser().parse_args([*argv, "4096"]), dest) == 4096
 
 
 @pytest.mark.parametrize("flags", (("--repeats", "0"), ("--image-size", "0"), ("--size", "0")),

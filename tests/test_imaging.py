@@ -206,6 +206,8 @@ def test_shape_checks():
         forward_2d(img, np.eye(4))
     with pytest.raises(ValueError, match="must be positive"):
         forward_2d(GrayImage(np.zeros((0, 8), dtype=np.uint8)), rfst(8))
+    with pytest.raises(ValueError, match="empty coefficient plane 8x0"):
+        inverse_2d(CoeffPlane(np.zeros((0, 8)), block=8), rfst(8))
 
 
 def test_subband_energy_partitions_total_energy():

@@ -3,10 +3,12 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-import rfst.transforms
+from rfst.analysis import dc_leakage_energy
+from rfst.regularity import rfst
 from rfst.transforms import (
     GivensReflection,
     OrthonormalTransform,
@@ -40,19 +42,53 @@ def test_dct2_constant_row(m):
     assert np.abs(t.entries[0] - math.sqrt(1.0 / m)).max() <= 1e-15
 
 
+def _reference_row(m, k, trig):
+    """sqrt(2/m) trig(pi k (2n+1) / 2m) for n < m, evaluated with 30 digits."""
+    with mpmath.workdps(30):
+        scale = mpmath.sqrt(mpmath.mpf(2) / m)
+        return np.array(
+            [float(scale * trig(mpmath.pi * k * (2 * n + 1) / (2 * m))) for n in range(m)]
+        )
+
+
+def _sine_reference_row(m, k):
+    if k == m - 1:
+        return math.sqrt(1.0 / m) * (-1.0) ** np.arange(m)
+    return _reference_row(m, k + 1, mpmath.sin)
+
+
+def _cosine_reference_row(m, k):
+    if k == 0:
+        return np.full(m, math.sqrt(1.0 / m))
+    return _reference_row(m, k, mpmath.cos)
+
+
 @pytest.mark.parametrize("m", SIZES)
 def test_dst2_closed_form_rows(m):
     t = dst2(m)
-    n = np.arange(m)
-    for k in range(m - 1):
-        expected = math.sqrt(2.0 / m) * np.sin(np.pi / m * (k + 1) * (n + 0.5))
-        assert np.abs(t.entries[k] - expected).max() <= 1e-15
-    last = math.sqrt(1.0 / m) * (-1.0) ** n
-    assert np.abs(t.entries[m - 1] - last).max() <= 1e-15
-    # the sine transform leaks DC only into even-indexed subbands; the
-    # rounding of the sine arguments grows about as m^2 (1.2e-14 at m=64)
+    for k in range(m):
+        assert np.abs(t.entries[k] - _sine_reference_row(m, k)).max() <= 1e-15
+    # the sine transform leaks DC only into even-indexed subbands
     odd_leak = np.abs((t.entries @ np.ones(m))[1::2]).max()
     assert odd_leak <= 1e-15 * max(1.0, m / 8) ** 2
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_dct2_closed_form_rows(m):
+    t = dct2(m)
+    for k in range(m):
+        assert np.abs(t.entries[k] - _cosine_reference_row(m, k)).max() <= 1e-15
+
+
+def test_type_two_tables_stay_exact_at_large_size():
+    # the trig arguments are reduced as integers, so the error does not grow with m
+    m = 1024
+    sine, cosine = dst2(m).entries, dct2(m).entries
+    for k in (0, 1, m // 2 - 1, m // 2, m - 2, m - 1):
+        assert np.abs(sine[k] - _sine_reference_row(m, k)).max() <= 1e-15
+        assert np.abs(cosine[k] - _cosine_reference_row(m, k)).max() <= 1e-15
+    assert np.abs((sine @ np.ones(m))[1::2]).max() <= 1e-14
+    assert dc_leakage_energy(rfst(m)) <= 1e-26
 
 
 @pytest.mark.parametrize("m", SIZES)
@@ -64,16 +100,6 @@ def test_dst2_from_reversed_cosine(m):
         [[(-1.0) ** n * cosine[m - 1 - k, n] for n in range(m)] for k in range(m)]
     )
     assert np.abs(rebuilt - dst2(m).entries).max() <= 1e-14
-
-
-def test_dst2_cross_check_raises_on_disagreement(monkeypatch):
-    # a runtime check, not an assert, so python -O keeps it
-    real_dct2 = rfst.transforms.dct2
-    monkeypatch.setattr(
-        rfst.transforms, "dct2", lambda m: OrthonormalTransform(real_dct2(m).entries[::-1])
-    )
-    with pytest.raises(ValueError, match="reversal/sign-flip"):
-        dst2(8)
 
 
 def test_dst2_small_matrix_values():
