@@ -133,22 +133,23 @@ def _cmd_freq(args) -> int:
 
 
 def _cmd_image(args) -> int:
-    transform = TRANSFORMS[args.transform](args.block)
-    if args.action == "forward":
-        img = imaging.read_pgm(args.infile)
-        imaging.write_coeff_file(imaging.forward_2d(img, transform), args.out)
-    elif args.action == "inverse":
+    transforms._check_size(args.block)  # check inputs first: a large transform takes seconds
+    if args.action == "inverse":
         plane = imaging.read_coeff_file(args.infile)
         if plane.block != args.block:
             raise ValueError(
                 f"--block {args.block} does not match coefficient file block {plane.block}"
             )
-        real = imaging.inverse_2d(plane, transform)
-        pixels = np.clip(np.rint(real), 0, 255).astype(np.uint8)
+        real = imaging.inverse_2d(plane, TRANSFORMS[args.transform](args.block))
+        pixels = np.clip(np.rint(real, out=real), 0, 255, out=real).astype(np.uint8)
         imaging.write_pgm(imaging.GrayImage(pixels), args.out)
+        return 0
+    img = imaging.read_pgm(args.infile)
+    imaging._check_divisible(img.pixels.shape, args.block)
+    plane = imaging.forward_2d(img, TRANSFORMS[args.transform](args.block))
+    if args.action == "forward":
+        imaging.write_coeff_file(plane, args.out)
     else:  # mosaic
-        img = imaging.read_pgm(args.infile)
-        plane = imaging.forward_2d(img, transform)
         imaging.write_pgm(imaging.subband_mosaic(plane), args.out)
     return 0
 

@@ -89,9 +89,20 @@ class CoeffPlane:
         return self.values.shape[0]
 
 
+def _payload(data: bytes, offset: int, dtype, shape, what: str) -> np.ndarray:
+    """The payload filling data from offset to its end, as one owned C-ordered copy."""
+    count = shape[0] * shape[1]
+    end = offset + np.dtype(dtype).itemsize * count
+    if len(data) < end:
+        raise ValueError(f"truncated {what}")
+    if len(data) > end:
+        raise ValueError(f"trailing bytes after {what}")
+    return np.frombuffer(data, dtype, count, offset).reshape(shape).copy()
+
+
 def emit_pgm(img: GrayImage) -> bytes:
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    return b"".join((header, np.ascontiguousarray(img.pixels)))
 
 
 def parse_pgm(data: bytes) -> GrayImage:
@@ -126,15 +137,10 @@ def parse_pgm(data: bytes) -> GrayImage:
     if not 0 < maxval <= 255:
         raise ValueError(f"unsupported PGM maxval {maxval} (8-bit only)")
     pos += 1  # single whitespace byte separating header from raster
-    raster = data[pos : pos + width * height]
-    if len(raster) != width * height:
-        raise ValueError("truncated PGM raster")
-    if len(data) > pos + width * height:
-        raise ValueError("trailing bytes after PGM raster")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    pixels = _payload(data, pos, np.uint8, (height, width), "PGM raster")
     if maxval < 255 and pixels.max() > maxval:
         raise ValueError(f"PGM pixel value {pixels.max()} exceeds maxval {maxval}")
-    return GrayImage(pixels.copy())
+    return GrayImage(pixels)
 
 
 def read_pgm(path) -> GrayImage:
@@ -147,7 +153,7 @@ def write_pgm(img: GrayImage, path) -> None:
 
 def emit_coeff_file(plane: CoeffPlane) -> bytes:
     header = np.array([plane.width, plane.height, plane.block, 0], dtype="<u4")
-    return COEFF_MAGIC + header.tobytes() + plane.values.astype("<f8").tobytes()
+    return b"".join((COEFF_MAGIC, header, np.ascontiguousarray(plane.values, dtype="<f8")))
 
 
 def parse_coeff_file(data: bytes) -> CoeffPlane:
@@ -155,19 +161,13 @@ def parse_coeff_file(data: bytes) -> CoeffPlane:
         raise ValueError("not a coefficient file (bad magic)")
     if len(data) < 20:
         raise ValueError("truncated coefficient header")
-    width, height, block, reserved = np.frombuffer(data[4:20], dtype="<u4").tolist()
+    width, height, block, reserved = np.frombuffer(data, "<u4", 4, 4).tolist()
     if reserved != 0:
         raise ValueError("reserved header field must be zero")
-    count = width * height
-    raw = data[20 : 20 + 8 * count]
-    if len(raw) != 8 * count:
-        raise ValueError("truncated coefficient payload")
-    if len(data) > 20 + 8 * count:
-        raise ValueError("trailing bytes after coefficient payload")
-    values = np.frombuffer(raw, dtype="<f8").reshape(height, width)
+    values = _payload(data, 20, "<f8", (height, width), "coefficient payload")
     if not np.isfinite(values).all():
         raise ValueError("coefficient payload holds NaN or infinite values")
-    return CoeffPlane(values.copy(), block=block)
+    return CoeffPlane(values, block=block)
 
 
 def read_coeff_file(path) -> CoeffPlane:
@@ -289,7 +289,7 @@ def subband_mosaic(coeffs: CoeffPlane) -> GrayImage:
     peak = mosaic.max()
     if peak > 0:
         mosaic = 255.0 * np.log1p(mosaic) / np.log1p(peak)
-    pixels = np.clip(np.rint(mosaic), 0, 255).astype(np.uint8)
+    pixels = np.clip(np.rint(mosaic, out=mosaic), 0, 255, out=mosaic).astype(np.uint8)
     return GrayImage(pixels)
 
 

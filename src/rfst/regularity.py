@@ -86,6 +86,8 @@ class RegularityCascade:
         # row: [[c, s], [s, -c]] = [[c, -s], [s, c]] @ diag(1, -1).
         order = reversed(self._terms) if inverse else self._terms
         for i, j, c, s in order:
+            # rows[j] must stay contiguous: on AVX-512, numpy 2.4.6 negates a float64
+            # view in place wrongly when its stride is exactly 8 elements
             np.negative(rows[j], out=rows[j])
             drot(rows[i], rows[j], c, -s, overwrite_x=1, overwrite_y=1)
         return rows

@@ -259,6 +259,32 @@ def test_image_missing_input(tmp_path, capsys):
     assert err != ""
 
 
+@pytest.mark.parametrize("action,infile,block,message", (
+    ("forward", "nope.pgm", "4096", "[Errno 2] No such file or directory: '{}'"),
+    ("inverse", "c.rfc", "4096", "--block 4096 does not match coefficient file block 8"),
+    ("forward", "in.pgm", "4096", "image dimensions 16x16 not divisible by block size 4096; "
+                                  "padding is deliberately not supported"),
+    ("mosaic", "in.pgm", "3", "transform size must be a power of two >= 2, got 3"),
+    ("forward", "in.pgm", "0", "transform size must be a power of two >= 2, got 0"),
+), ids=("missing", "inverse-mismatch", "forward-indivisible", "mosaic-block-3", "block-0"))
+def test_image_checks_its_input_before_building(tmp_path, capsys, monkeypatch, action, infile,
+                                                block, message):
+    write_pgm(GrayImage(np.zeros((16, 16), dtype=np.uint8)), tmp_path / "in.pgm")
+    imaging.write_coeff_file(imaging.CoeffPlane(np.zeros((16, 16)), block=8), tmp_path / "c.rfc")
+
+    def no_build(*args, **kwargs):
+        pytest.fail("a transform was built before the input was checked")
+
+    for kind in cli.TRANSFORMS:
+        monkeypatch.setitem(cli.TRANSFORMS, kind, no_build)
+    path, out = tmp_path / infile, tmp_path / "out"
+    code, stdout, err = run(capsys, "image", action, "--transform", "rfst",
+                            "--block", block, "--in", str(path), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == f"rfst: error: {message.format(path)}\n"
+    assert not out.exists()
+
+
 def test_bench_csv_shape(capsys):
     code, out, _ = run(capsys, "bench", "--size", "8", "--image-size", "64", "--repeats", "3")
     assert code == 0

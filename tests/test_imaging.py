@@ -1,5 +1,7 @@
 """Image I/O, separable block transforms, mosaics, and the timing harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,12 @@ def _random_image(rng, h, w):
     return GrayImage(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
 
 
+def _assert_owned_array(a):
+    # a parsed payload is its own aligned, writable, C-ordered copy, not a view of the file
+    flags = a.flags
+    assert flags.aligned and flags.writeable and flags.c_contiguous and flags.owndata
+
+
 def test_gray_image_validation():
     with pytest.raises(ValueError):
         GrayImage(np.zeros((4, 4), dtype=np.float64))
@@ -50,6 +58,7 @@ def test_pgm_round_trip():
     img = _random_image(rng, 5, 7)
     again = parse_pgm(emit_pgm(img))
     assert np.array_equal(img.pixels, again.pixels)
+    _assert_owned_array(again.pixels)
 
 
 def test_pgm_accepts_comments_and_whitespace():
@@ -94,6 +103,7 @@ def test_coeff_file_round_trip(tmp_path):
     again = parse_coeff_file(blob)
     assert again.block == 4
     assert np.array_equal(again.values, plane.values)
+    _assert_owned_array(again.values)
     path = tmp_path / "t.rfc"
     write_coeff_file(plane, path)
     assert np.array_equal(read_coeff_file(path).values, plane.values)
@@ -128,6 +138,35 @@ def test_coeff_file_rejects_bad_inputs():
         values[2, 1] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             parse_coeff_file(emit_coeff_file(CoeffPlane(values, block=4)))
+
+
+def test_codecs_accept_non_contiguous_arrays():
+    rng = np.random.default_rng(44)
+    pixels = rng.integers(0, 256, size=(6, 10), dtype=np.uint8)
+    assert emit_pgm(GrayImage(pixels.T)) == emit_pgm(GrayImage(np.ascontiguousarray(pixels.T)))
+    values = rng.standard_normal((8, 12))
+    fortran = CoeffPlane(np.asfortranarray(values), block=4)
+    assert emit_coeff_file(fortran) == emit_coeff_file(CoeffPlane(values, block=4))
+
+
+def test_codecs_copy_their_payload_once():
+    rng = np.random.default_rng(45)
+    plane = CoeffPlane(rng.standard_normal((256, 256)), block=8)
+    img = _random_image(rng, 512, 512)
+    blob, raster = emit_coeff_file(plane), emit_pgm(img)
+    for codec, arg, payload in (
+        (emit_coeff_file, plane, plane.values.nbytes),
+        (parse_coeff_file, blob, plane.values.nbytes),
+        (emit_pgm, img, img.pixels.nbytes),
+        (parse_pgm, raster, img.pixels.nbytes),
+    ):
+        tracemalloc.start()
+        try:
+            codec(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * payload, (codec.__name__, peak / payload)
 
 
 def _assert_per_block(plane, coeffs, mat):
