@@ -1,20 +1,28 @@
 """Separable block transforms on grayscale images, plus the timing bench.
 
 A 2-D block transform maps every M x M block B of a plane to
-P(D B D')P', where D is the dense core matrix and P a postprocessing
-step on each length-M coefficient vector: the reflection cascade of a
-fast regular transform, nothing for a plain orthonormal matrix, or the
-dense half-size matrix in the timing bench.  forward_2d, inverse_2d and
-the bench all run one pipeline, a row pass and then a column pass.
+P(D B D')P', where D is the sine (or another orthonormal) core and P a
+postprocessing step on each length-M coefficient vector: the reflection
+cascade of a fast regular transform, nothing for a plain orthonormal
+matrix, or the dense half-size matrix in the timing bench.  Each
+transform is a row pass and then a column pass; the inverse runs the
+adjoint passes in reverse order.  There are two cores.
 
-Each pass multiplies the core into a coefficient-major (M x H*W/M)
-workspace, one contiguous row per subband, which is the layout in which
-the cascade runs as BLAS plane rotations; then it copies the workspace
-back into the plane.  The product reads the plane's segments in place
-through strided views (a transposed operand for the row pass, one
-batched product per block row for the column pass), so the plane is
-never gathered into a segment matrix.  The inverse runs the adjoint
-passes in reverse order.
+Below FFT_MIN_SIZE, and for every plain matrix, the core is a dense
+product.  Each pass multiplies the core into a coefficient-major
+(M x H*W/M) workspace, one contiguous row per subband, runs the
+postprocessing there, and copies the workspace back into the plane.
+The product reads the plane's segments in place through strided views
+(a transposed operand for the row pass, one batched product per block
+row for the column pass), so the plane is never gathered into a segment
+matrix.  forward_2d, inverse_2d and the bench share this pipeline.
+
+From FFT_MIN_SIZE on, rfst's sine core is scipy.fft's orthonormal
+DST-II, O(M log M) per segment against the dense product's O(M^2),
+run in place on the plane the call owns; the cascade then runs on the
+plane's stride-M columns (row pass) and on each block row's contiguous
+slab (column pass), so no workspace is allocated.  The crossover was
+measured once and is fixed; scipy.fft is imported only on this path.
 """
 
 from __future__ import annotations
@@ -27,15 +35,22 @@ from pathlib import Path
 import numpy as np
 
 from .rdst import _half_block
-from .regularity import FastRegularTransform, rfst
+from .regularity import FastRegularTransform, RegularityCascade, rfst
 from .transforms import OrthonormalTransform, _check_size
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # BLAS threads are then left as the environment sets them
-    threadpool_limits = None
-
 COEFF_MAGIC = b"RFC1"
+
+# Block size from which forward_2d/inverse_2d run rfst's sine core as an FFT
+# (scipy.fft's DST-II) instead of a dense product.  Chosen once, not tuned at
+# run time.  Medians of 7 whole-pipeline calls on a 2048^2 plane, in ms
+# (forward/inverse), one BLAS thread on a shared 2-core x86-64 host, numpy
+# 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31:
+#   M        32      64     128     256     512    1024
+#   dense  86/99 117/109 123/141 170/173 249/264 414/434
+#   FFT   106/105 108/99 112/117 126/135 130/140 136/132
+# From 256 on the FFT wins by 22% or more both ways; at 128 the gain is
+# within this host's run-to-run drift.
+FFT_MIN_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -178,6 +193,16 @@ def write_coeff_file(plane: CoeffPlane, path) -> None:
     Path(path).write_bytes(emit_coeff_file(plane))
 
 
+def _block_size(transform) -> int:
+    if not isinstance(transform, (FastRegularTransform, OrthonormalTransform)):
+        raise TypeError(f"unsupported transform type {type(transform).__name__}")
+    return transform.size
+
+
+def _uses_fft_core(transform) -> bool:
+    return isinstance(transform, FastRegularTransform) and transform.size >= FFT_MIN_SIZE
+
+
 def _core_and_post(transform, inverse: bool = False):
     """Dense core matrix and the in-place postprocessing of its coefficients.
 
@@ -187,9 +212,7 @@ def _core_and_post(transform, inverse: bool = False):
     if isinstance(transform, FastRegularTransform):
         cascade = transform.cascade
         return transform.core.entries, lambda coef: cascade.apply(coef, inverse=inverse)
-    if isinstance(transform, OrthonormalTransform):
-        return transform.entries, None
-    raise TypeError(f"unsupported transform type {type(transform).__name__}")
+    return transform.entries, None
 
 
 def _segments(plane: np.ndarray, m: int, axis: int) -> np.ndarray:
@@ -248,21 +271,63 @@ def _check_divisible(shape, m: int) -> None:
         )
 
 
+def _fill(result: np.ndarray, view: np.ndarray) -> None:
+    # scipy.fft writes an overwritable float64 input in place; copy back only if it did not
+    if result.ctypes.data != view.ctypes.data or result.strides != view.strides:
+        np.copyto(view, result)
+
+
+def _fft_2d(plane: np.ndarray, cascade: RegularityCascade, inverse: bool = False) -> np.ndarray:
+    """The regular sine block transform of a C-contiguous plane, in place, on an FFT core.
+
+    Row pass: the orthonormal DST-II along the last axis of
+    plane.reshape(-1, M), then the cascade on the stride-M columns of
+    the flat plane.  Column pass: the DST-II along axis 1 of
+    plane.reshape(H/M, M, W), then the cascade on each block row's
+    contiguous (M, W) slab.  The inverse undoes the passes in reverse
+    order: inverse cascade first, then the DST-III (idst).
+    """
+    from scipy.fft import dst, idst  # 62 ms to import (43 of them scipy.special)
+
+    m = cascade.target_size
+    h, w = plane.shape
+    flat = plane.reshape(-1)
+    passes = (  # (segments transformed along axis 1, cascade lanes as (base, n, lane, step))
+        (plane.reshape(-1, m), [(0, flat.size // m, 1, m)]),
+        (plane.reshape(h // m, m, w), [(b, w, w, 1) for b in range(0, flat.size, m * w)]),
+    )
+    core = idst if inverse else dst
+    for segments, lanes in reversed(passes) if inverse else passes:
+        if inverse:
+            for base, n, lane, step in lanes:
+                cascade.apply_flat(flat, n, lane, step, base, inverse=True)
+        _fill(core(segments, type=2, axis=1, norm="ortho", overwrite_x=True), segments)
+        if not inverse:
+            for base, n, lane, step in lanes:
+                cascade.apply_flat(flat, n, lane, step, base)
+    return plane
+
+
 def forward_2d(img: GrayImage, transform) -> CoeffPlane:
     """Blockwise T B T' of an image: row pass, then column pass."""
-    core, post = _core_and_post(transform)
-    m = core.shape[0]
+    m = _block_size(transform)
     _check_divisible(img.pixels.shape, m)
     plane = img.pixels.astype(np.float64, order="C")
+    if _uses_fft_core(transform):
+        return CoeffPlane(_fft_2d(plane, transform.cascade), block=m)
+    core, post = _core_and_post(transform)
     return CoeffPlane(_blockwise_2d(plane, plane, core, post), block=m)
 
 
 def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
     """Exact adjoint of forward_2d; returns the real-valued plane, no rounding."""
-    core, post = _core_and_post(transform, inverse=True)
-    m = core.shape[0]
+    m = _block_size(transform)
     if m != coeffs.block:
         raise ValueError(f"transform size {m} does not match plane block size {coeffs.block}")
+    if _uses_fft_core(transform):
+        plane = np.array(coeffs.values, order="C")
+        return _fft_2d(plane, transform.cascade, inverse=True)
+    core, post = _core_and_post(transform, inverse=True)
     return _blockwise_2d(coeffs.values, np.empty(coeffs.values.shape), core, post, inverse=True)
 
 
@@ -285,12 +350,58 @@ def subband_mosaic(coeffs: CoeffPlane) -> GrayImage:
     m = coeffs.block
     h, w = coeffs.values.shape
     blocks = coeffs.values.reshape(h // m, m, w // m, m)
-    mosaic = np.abs(blocks.transpose(1, 0, 3, 2).reshape(h, w))
+    # the regrouped copy is the one plane this function holds; the rest runs in place
+    mosaic = np.abs(blocks.transpose(1, 0, 3, 2), out=np.empty((m, h // m, m, w // m)))
+    mosaic = mosaic.reshape(h, w)
     peak = mosaic.max()
     if peak > 0:
-        mosaic = 255.0 * np.log1p(mosaic) / np.log1p(peak)
+        np.log1p(mosaic, out=mosaic)
+        np.multiply(255.0, mosaic, out=mosaic)
+        np.divide(mosaic, np.log1p(peak), out=mosaic)
     pixels = np.clip(np.rint(mosaic, out=mosaic), 0, 255, out=mosaic).astype(np.uint8)
     return GrayImage(pixels)
+
+
+# (get, set) thread-count symbols of the OpenBLAS builds that numpy and scipy ship
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("openblas_", "scipy_openblas_")
+    for suffix in ("", "64_")
+)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Cap every loaded OpenBLAS at one thread inside the block, then restore its count.
+
+    The libraries are found in /proc/self/maps and driven through
+    ctypes.  Yields the method in effect: the libraries pinned, or
+    "unpinned" when no OpenBLAS with a thread-count symbol is loaded.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {Path(line.split()[-1]) for line in maps}
+    except OSError:  # no procfs: nothing can be found, so nothing is pinned
+        paths = set()
+    pools = []
+    for path in sorted(p for p in paths if "openblas" in p.name.lower()):
+        lib = ctypes.CDLL(str(path))
+        for get, set_ in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                getter, setter = getattr(lib, get), getattr(lib, set_)
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                setter.restype, setter.argtypes = None, [ctypes.c_int]
+                pools.append((f"{set_}(1) in {path.name}", setter, getter()))
+                break
+    for _, setter, _ in pools:
+        setter(1)
+    try:
+        yield "; ".join(call for call, _, _ in pools) or "unpinned"
+    finally:
+        for _, setter, count in pools:
+            setter(count)
 
 
 @dataclass(frozen=True)
@@ -302,6 +413,7 @@ class BenchReport:
     dense_half_median_s: float
     saved_s: float
     max_abs_diff: float
+    blas_pinning: str
 
 
 def bench_postprocessing(
@@ -309,14 +421,15 @@ def bench_postprocessing(
 ) -> BenchReport:
     """Median wall time of the two postprocessing styles on one seeded image.
 
-    Both variants run the forward pipeline that forward_2d ships, with
-    the same sine core; one streams the reflection cascade, the other
-    multiplies the even coefficients by the dense half-size matrix.
-    BLAS thread pools are capped to one thread when threadpoolctl is
-    installed; otherwise they run as the environment (for example
-    OPENBLAS_NUM_THREADS) sets them.  Reports the medians, their
-    difference, and the max absolute discrepancy between the two
-    coefficient planes.  repeats >= 1; image_size a positive multiple of m.
+    Both variants run forward_2d's dense-core pipeline, with the same
+    sine core as a matrix product, at every m (forward_2d itself
+    switches to an FFT core from FFT_MIN_SIZE on); one streams the
+    reflection cascade, the other multiplies the even coefficients by
+    the dense half-size matrix.  Every loaded OpenBLAS is held at one
+    thread for the timed region, and blas_pinning records how (or
+    "unpinned").  Reports the medians, their difference, and the max
+    absolute discrepancy between the two coefficient planes.
+    repeats >= 1; image_size a positive multiple of m.
     """
     _check_size(m)
     if repeats < 1:
@@ -347,8 +460,7 @@ def bench_postprocessing(
         run(post)
         return time.perf_counter() - start
 
-    pinned = threadpool_limits(limits=1) if threadpool_limits else contextlib.nullcontext()
-    with pinned:
+    with _one_blas_thread() as pinning:
         for post in (cascade_post, dense_post):  # warm buffers and BLAS dispatch
             timed(post)
         cascade_times, dense_times = [], []
@@ -367,4 +479,5 @@ def bench_postprocessing(
         dense_half_median_s=dense_median,
         saved_s=dense_median - cascade_median,
         max_abs_diff=diff,
+        blas_pinning=pinning,
     )

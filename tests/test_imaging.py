@@ -1,11 +1,16 @@
 """Image I/O, separable block transforms, mosaics, and the timing harness."""
 
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rfst import imaging
 from rfst.imaging import (
+    FFT_MIN_SIZE,
     CoeffPlane,
     GrayImage,
     bench_postprocessing,
@@ -169,14 +174,16 @@ def test_codecs_copy_their_payload_once():
         assert peak <= 1.25 * payload, (codec.__name__, peak / payload)
 
 
-def _assert_per_block(plane, coeffs, mat):
-    # every M x M block of coeffs must equal mat @ block @ mat.T
+def _per_block(plane, mat):
+    # every M x M block of plane replaced by mat @ block @ mat.T
     m = mat.shape[0]
-    for bi in range(0, plane.shape[0], m):
-        for bj in range(0, plane.shape[1], m):
-            block = plane[bi : bi + m, bj : bj + m]
-            got = coeffs[bi : bi + m, bj : bj + m]
-            assert np.abs(got - mat @ block @ mat.T).max() <= 1e-11
+    h, w = plane.shape
+    blocks = plane.reshape(h // m, m, w // m, m).transpose(0, 2, 1, 3)
+    return (mat @ blocks @ mat.T).transpose(0, 2, 1, 3).reshape(h, w)
+
+
+def _assert_per_block(plane, coeffs, mat):
+    assert np.abs(coeffs - _per_block(plane, mat)).max() <= 1e-11
 
 
 _LAYOUTS = (
@@ -186,12 +193,28 @@ _LAYOUTS = (
     lambda a: np.stack([a, a], axis=2)[:, :, 0],  # strided view
 )
 
+# (M, block rows, block columns, bound).  From FFT_MIN_SIZE on, rfst runs its
+# FFT core; a 2 x 3 grid of blocks keeps those planes small.  Coefficients grow
+# as 255 M, so the bound there is about 35 ulps of the largest one at
+# 2 FFT_MIN_SIZE (255 * 512 * 2^-52 = 2.9e-11); the measured error is 8.7e-11.
+_ORACLE_CASES = [
+    pytest.param(m, rows, cols, tol, id=str(m))
+    for m, rows, cols, tol in (
+        (2, 4, 6, 1e-11),
+        (4, 4, 6, 1e-11),
+        (8, 4, 6, 1e-11),
+        (FFT_MIN_SIZE, 2, 3, 1e-9),
+        (2 * FFT_MIN_SIZE, 2, 3, 1e-9),
+    )
+]
 
-@pytest.mark.parametrize("m", (2, 4, 8))
-def test_forward_matches_per_block_oracle(m):
+
+@pytest.mark.parametrize("m,rows,cols,tol", _ORACLE_CASES)
+def test_forward_matches_per_block_oracle(m, rows, cols, tol):
     rng = np.random.default_rng(34)
-    pixels = rng.integers(0, 256, size=(4 * m, 6 * m), dtype=np.uint8)
+    pixels = rng.integers(0, 256, size=(rows * m, cols * m), dtype=np.uint8)
     t = rfst(m)
+    expected = _per_block(pixels.astype(np.float64), t.as_matrix().entries)
     # the pipeline writes through views of its plane, so inputs that are
     # not C-ordered must give the same coefficients
     for layout in _LAYOUTS:
@@ -199,19 +222,46 @@ def test_forward_matches_per_block_oracle(m):
         coeffs = forward_2d(img, t)
         assert coeffs.block == m
         assert np.array_equal(img.pixels, pixels)
-        _assert_per_block(pixels.astype(np.float64), coeffs.values, t.as_matrix().entries)
+        assert np.abs(coeffs.values - expected).max() <= tol
 
 
-@pytest.mark.parametrize("m", (2, 4, 8))
-def test_inverse_matches_per_block_oracle(m):
+@pytest.mark.parametrize("m,rows,cols,tol", _ORACLE_CASES)
+def test_inverse_matches_per_block_oracle(m, rows, cols, tol):
     rng = np.random.default_rng(40)
-    values = rng.standard_normal((4 * m, 6 * m)) * 100.0
+    values = rng.standard_normal((rows * m, cols * m)) * 100.0
     t = rfst(m)
+    expected = _per_block(values, t.as_matrix().entries.T)
     for layout in _LAYOUTS:
         coeffs = CoeffPlane(layout(values), block=m)
         plane = inverse_2d(coeffs, t)
         assert np.array_equal(coeffs.values, values)
-        _assert_per_block(values, plane, t.as_matrix().entries.T)
+        assert np.abs(plane - expected).max() <= tol
+
+
+def test_fft_and_dense_cores_agree_at_large_blocks(monkeypatch):
+    # 2048^2 at M = 1024: coefficients reach 255 M = 2.6e5, whose ulp is 5.8e-11;
+    # the two cores differed by 7.3e-11 forward and 1.4e-12 in the round trip
+    rng = np.random.default_rng(47)
+    img = _random_image(rng, 2048, 2048)
+    t = rfst(1024)
+    fft_coeffs = forward_2d(img, t)
+    fft_plane = inverse_2d(fft_coeffs, t)
+    monkeypatch.setattr(imaging, "FFT_MIN_SIZE", 2 * t.size)
+    dense_coeffs = forward_2d(img, t)
+    assert np.abs(fft_coeffs.values - dense_coeffs.values).max() <= 1e-9
+    assert np.abs(fft_plane - inverse_2d(dense_coeffs, t)).max() <= 1e-9
+    assert np.abs(fft_plane - img.pixels).max() <= 1e-9
+
+
+@pytest.mark.parametrize("m", (8, FFT_MIN_SIZE))
+def test_scipy_fft_is_imported_by_the_fft_core_alone(m):
+    src = str(Path(imaging.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np; import rfst, rfst.cli; "
+            f"t = rfst.rfst({m}); img = rfst.GrayImage(np.zeros((2 * {m}, {m}), np.uint8)); "
+            "rfst.inverse_2d(rfst.forward_2d(img, t), t); print('scipy.fft' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == str(m >= FFT_MIN_SIZE)
 
 
 @pytest.mark.parametrize("maker", (dct2, dst2, hadamard), ids=lambda f: f.__name__)
@@ -285,6 +335,18 @@ def test_subband_mosaic_layout():
         assert np.array_equal(tile, expected.astype(np.uint8))
 
 
+def test_subband_mosaic_holds_one_plane():
+    plane = CoeffPlane(np.random.default_rng(46).standard_normal((256, 256)) * 100.0, block=8)
+    tracemalloc.start()
+    try:
+        subband_mosaic(plane)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the regrouped float plane plus the uint8 result
+    assert peak <= 1.25 * plane.values.nbytes, peak / plane.values.nbytes
+
+
 def test_subband_mosaic_of_zero_plane_is_black():
     mosaic = subband_mosaic(CoeffPlane(np.zeros((8, 8)), block=4))
     assert mosaic.pixels.max() == 0
@@ -299,6 +361,8 @@ def test_bench_reports_consistent_fields():
     assert report.dense_half_median_s > 0.0
     assert abs(report.saved_s - (report.dense_half_median_s - report.cascade_median_s)) <= 1e-12
     assert report.max_abs_diff <= 1e-10
+    assert report.blas_pinning == "unpinned" or report.blas_pinning.startswith(
+        ("openblas_set_num_threads", "scipy_openblas_set_num_threads"))
 
 
 def test_bench_validates_input():

@@ -8,8 +8,8 @@ import pytest
 from rfst import regularity
 from rfst.opcount import measure_cascade_ops, measure_half_postprocessing_ops
 from rfst.regularity import (
-    FastRegularTransform,
     RegularityCascade,
+    _cascade,
     build_general_cascade,
     emit_cascade_csv,
     extra_op_count,
@@ -117,30 +117,67 @@ def test_cascade_fast_path_matches_column_loop(m):
     assert np.abs(cas.apply(fortran) - per_column).max() <= 1e-13
 
 
+def _column_loop(cas, block, inverse):
+    # the reference: reflect_pair on one column vector at a time
+    out = block.copy()
+    for col in range(block.shape[1]):
+        v = out[:, col].copy()
+        order = reversed(cas.reflections) if inverse else cas.reflections
+        for g in order:
+            reflect_pair(v, g.i, g.j, math.cos(g.theta), math.sin(g.theta))
+        out[:, col] = v
+    return out
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(regularity, name)
+    monkeypatch.setattr(regularity, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
 def test_cascade_fast_path_handles_any_pivot(monkeypatch):
     # row 1 is a pivot and a partner, row 3 a partner twice: no shared pivot
     cas = RegularityCascade(
         (GivensReflection(1, 3, 0.3), GivensReflection(0, 1, -1.1), GivensReflection(0, 3, 2.0)),
         4,
     )
-    calls = []
-    real_drot = regularity.drot
-    monkeypatch.setattr(
-        regularity, "drot", lambda *a, **k: calls.append(1) or real_drot(*a, **k)
-    )
+    drot_calls, drotm_calls = _counting(monkeypatch, "drot"), _counting(monkeypatch, "drotm")
     block = np.random.default_rng(8).standard_normal((4, 9))
     for inverse in (False, True):
-        per_column = block.copy()
-        for col in range(block.shape[1]):
-            v = per_column[:, col].copy()
-            order = reversed(cas.reflections) if inverse else cas.reflections
-            for g in order:
-                reflect_pair(v, g.i, g.j, math.cos(g.theta), math.sin(g.theta))
-            per_column[:, col] = v
-        calls.clear()
+        expected = _column_loop(cas, block, inverse)
+        drot_calls.clear()
         out = cas.apply(block.copy(), inverse=inverse)
-        assert len(calls) == 3
-        assert np.abs(out - per_column).max() <= 1e-13
+        assert len(drot_calls) == 3
+        assert np.abs(out - expected).max() <= 1e-13
+        # the same cascade on the stride-4 columns of the segment-major transpose
+        drotm_calls.clear()
+        segments = np.ascontiguousarray(block.T)
+        cas.apply_flat(segments.reshape(-1), 9, lane=1, step=4, inverse=inverse)
+        assert len(drotm_calls) == 3
+        assert np.abs(segments.T - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("m", (8, 256))
+def test_cascade_kernel_on_strided_columns_and_offset_slabs(m, monkeypatch):
+    # at m = 8 the segment-major columns are stride-8 views, which numpy 2.4.6 on
+    # AVX-512 negates in place wrongly; the kernel leaves their negation to BLAS
+    rng = np.random.default_rng(9)
+    cas = rfst(m).cascade
+    drotm_calls = _counting(monkeypatch, "drotm")
+    block = rng.standard_normal((m, 13))
+    for inverse in (False, True):
+        expected = _column_loop(cas, block, inverse)
+        drotm_calls.clear()
+        segments = np.ascontiguousarray(block.T)
+        cas.apply_flat(segments.reshape(-1), 13, lane=1, step=m, inverse=inverse)
+        assert len(drotm_calls) == len(cas)
+        assert np.abs(segments.T - expected).max() <= 1e-13
+        # two coefficient-major slabs back to back, the cascade run on the second alone
+        slabs = np.stack([block, block])
+        cas.apply_flat(slabs.reshape(-1), 13, lane=13, step=1, base=m * 13, inverse=inverse)
+        assert np.array_equal(slabs[0], block)
+        assert np.abs(slabs[1] - expected).max() <= 1e-13
 
 
 def test_cascade_validates_reflection_range():
@@ -180,13 +217,24 @@ def test_rfst_builds_the_sine_transform_once(monkeypatch):
         return dst2(m)
 
     monkeypatch.setattr(regularity, "dst2", counting_dst2)
-    rfst(16)
+    t = rfst(16)
+    assert calls == []
+    assert t.core is t.core
     assert calls == [16]
 
 
-def test_fast_transform_mismatched_sizes_rejected():
-    with pytest.raises(ValueError):
-        FastRegularTransform(core=dst2(8), cascade=rfst(4).cascade)
+def test_rfst_builds_no_matrix_and_matches_the_sine_dc_response(monkeypatch):
+    def no_dst2(m):
+        raise AssertionError("rfst built the dense sine transform")
+
+    monkeypatch.setattr(regularity, "dst2", no_dst2)
+    m = 4096
+    t = rfst(m)
+    reference = _cascade(dst2(m).entries @ np.ones(m), range(2, m, 2))
+    assert len(t.cascade) == len(reference) == m // 2 - 1
+    got = np.array([g.theta for g in t.cascade.reflections])
+    want = np.array([g.theta for g in reference.reflections])
+    assert np.abs(got - want).max() <= 1e-15
 
 
 def test_extra_op_count_table():
