@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _size(text: str) -> int:
-    """A size flag whose value sets an allocation, capped before anything is allocated."""
+    """A size or count flag whose value sets an allocation or a run time, capped before either."""
     try:
         size = int(text)
     except ValueError:
@@ -219,7 +219,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="time cascade versus dense half-size postprocessing")
     p.add_argument("--size", required=True, type=_size)
     p.add_argument("--image-size", type=_size, default=512)
-    p.add_argument("--repeats", type=int, default=11)
+    p.add_argument("--repeats", type=_size, default=11)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)
 

@@ -6,28 +6,32 @@ postprocessing step on each length-M coefficient vector: the reflection
 cascade of a fast regular transform, nothing for a plain orthonormal
 matrix, or the dense half-size matrix in the timing bench.  Each
 transform is a row pass and then a column pass; the inverse runs the
-adjoint passes in reverse order.  There are two cores.
+adjoint passes in reverse order.
+
+forward_2d, inverse_2d and the bench share one pipeline, in which only
+the core varies.  Each pass reads the plane through strided views, so
+no segment matrix is gathered, and runs the postprocessing on lanes of
+the flat plane, as RegularityCascade.apply_flat takes them.  The row
+pass works on the segment-major (H*W/M, M) view, so its cascade is one
+BLAS drotm per reflection on the stride-M columns of the whole plane.
 
 Below FFT_MIN_SIZE, and for every plain matrix, the core is a dense
-product.  Each pass multiplies the core into a coefficient-major
-(M x H*W/M) workspace, one contiguous row per subband, runs the
-postprocessing there, and copies the workspace back into the plane.
-The product reads the plane's segments in place through strided views
-(a transposed operand for the row pass, one batched product per block
-row for the column pass), so the plane is never gathered into a segment
-matrix.  forward_2d, inverse_2d and the bench share this pipeline.
-
-From FFT_MIN_SIZE on, rfst's sine core is scipy.fft's orthonormal
-DST-II, O(M log M) per segment against the dense product's O(M^2),
-run in place on the plane the call owns; the cascade then runs on the
-plane's stride-M columns (row pass) and on each block row's contiguous
-slab (column pass), so no workspace is allocated.  The crossover was
-measured once and is fixed; scipy.fft is imported only on this path.
+product written into a second plane.  The column pass writes it in
+subband-major layout, an (M, H*W/M) array with one contiguous row per
+subband, so its cascade is one dscal + drot per reflection; one copy of
+W-long rows then puts the plane back in block layout.  From
+FFT_MIN_SIZE on, rfst's sine core is scipy.fft's orthonormal DST-II,
+O(M log M) per segment against the dense product's O(M^2), run in
+place on the plane the call owns; its column cascade runs on each
+block row's (M, W) slab, so no second plane is allocated.  The
+crossover was measured once and is fixed; scipy.fft is imported only
+on this path.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .rdst import _half_block
-from .regularity import FastRegularTransform, RegularityCascade, rfst
+from .regularity import FastRegularTransform, rfst
 from .transforms import OrthonormalTransform, _check_size
 
 COEFF_MAGIC = b"RFC1"
@@ -199,65 +203,69 @@ def _block_size(transform) -> int:
     return transform.size
 
 
-def _uses_fft_core(transform) -> bool:
-    return isinstance(transform, FastRegularTransform) and transform.size >= FFT_MIN_SIZE
+def _blockwise_2d(src: np.ndarray, work: np.ndarray, transform, inverse: bool = False,
+                  post=None) -> np.ndarray:
+    """The block transform of src (core, then postprocessing, along rows, then columns).
 
-
-def _core_and_post(transform, inverse: bool = False):
-    """Dense core matrix and the in-place postprocessing of its coefficients.
-
-    The postprocessing is the reflection cascade (undone in reverse order
-    for the inverse) or None for a plain orthonormal matrix.
+    transform is rfst(M), whose cascade is the postprocessing and whose
+    sine core is a dense product below FFT_MIN_SIZE and scipy.fft's
+    orthonormal DST-II from there on, or a plain matrix, whose
+    coefficients get post (None for none).  post(flat, n, lane, step)
+    runs in place on the lanes of RegularityCascade.apply_flat.  work is
+    a C-contiguous float64 plane of src's shape that the call
+    overwrites; it may be src, which is otherwise only read.  The
+    inverse runs the adjoint passes in reverse order.  Returns the
+    result: work on the FFT core, a second plane on the dense one.
     """
+    m = transform.size
+    h, w = src.shape
+    n = src.size // m  # length-M segments per pass
     if isinstance(transform, FastRegularTransform):
-        cascade = transform.cascade
-        return transform.core.entries, lambda coef: cascade.apply(coef, inverse=inverse)
-    return transform.entries, None
+        post = functools.partial(transform.cascade.apply_flat, inverse=inverse)
+        core = None if m >= FFT_MIN_SIZE else transform.core.entries
+    else:
+        core = transform.entries
+        post = post or (lambda *lanes: None)
+    if core is None:  # in place on work, each pass on the plane's own layout
+        from scipy.fft import dst, idst  # 62 ms to import (43 of them scipy.special)
 
+        def fft(segments):  # along axis 1
+            out = (idst if inverse else dst)(segments, type=2, axis=1, norm="ortho",
+                                             overwrite_x=True)
+            # scipy.fft writes an overwritable float64 input in place; copy back if it did not
+            if out.ctypes.data != segments.ctypes.data or out.strides != segments.strides:
+                np.copyto(segments, out)
 
-def _segments(plane: np.ndarray, m: int, axis: int) -> np.ndarray:
-    """(batch, m, k) view of a C-contiguous plane, the m axis running along `axis`.
-
-    Rows (axis 1): one batch whose k columns are the length-m horizontal
-    segments, a transposed view of plane.reshape(-1, m).  Columns
-    (axis 0): one (m, W) batch per block row.
-    """
-    h, w = plane.shape
-    if axis == 1:
-        return plane.reshape(1, -1, m).transpose(0, 2, 1)
-    return plane.reshape(h // m, m, w)
-
-
-def _blockwise_2d(src: np.ndarray, dst: np.ndarray, core: np.ndarray, post,
-                  inverse: bool = False) -> np.ndarray:
-    """Apply the block transform (core, then post) along the rows and columns of src.
-
-    Each pass multiplies core into `coef`, a coefficient-major
-    (M, H*W/M) workspace with one contiguous row per subband, runs post
-    on it in place, and copies it back into dst, which may be src and
-    must be C-contiguous (its segments are written through views).  The
-    inverse is the adjoint: column pass first, each pass copying out,
-    running post (here the inverse cascade), then multiplying by core'
-    into dst.  post may be None.
-    """
-    m = core.shape[0]
-    coef = np.empty((m, src.size // m))
-    for axis in (0, 1) if inverse else (1, 0):
-        src_seg, dst_seg = _segments(src, m, axis), _segments(dst, m, axis)
-        batch, _, k = src_seg.shape
-        work = coef.reshape(m, batch, k).transpose(1, 0, 2)
-        if inverse:
-            np.copyto(work, src_seg)
-            if post is not None:
-                post(coef)
-            np.matmul(core.T, work, out=dst_seg)
-        else:
-            np.matmul(core, src_seg, out=work)
-            if post is not None:
-                post(coef)
-            np.copyto(dst_seg, work)
-        src = dst
-    return dst
+        if work is not src:
+            np.copyto(work, src)
+        flat = work.reshape(-1)
+        # rows: the segment-major (n, M) view, coefficient k at stride M; columns:
+        # one (M, W) slab per block row, its subbands contiguous rows
+        steps = [(fft, work.reshape(n, m)), (post, flat, n, 1, m),
+                 (fft, work.reshape(h // m, m, w)),
+                 *((post, flat, w, w, 1, base) for base in range(0, work.size, m * w))]
+        # for the inverse, fft is idst and post the inverse cascade, so the steps run reversed
+        for step, *args in reversed(steps) if inverse else steps:
+            step(*args)
+        return work
+    # rows: segment-major (n, M) views; columns: out's block rows and work's
+    # subband-major layout, in which subband k of all segments is one contiguous row
+    out = np.empty(work.shape)
+    blocks = out.reshape(h // m, m, w)
+    subbands = work.reshape(m, h // m, w).transpose(1, 0, 2)
+    if inverse:
+        np.copyto(subbands, src.reshape(h // m, m, w))
+        post(work.reshape(-1), n, n, 1)
+        np.matmul(core.T, subbands, out=blocks)
+        post(out.reshape(-1), n, 1, m)
+        np.matmul(out.reshape(n, m), core, out=work.reshape(n, m))
+        return work
+    np.matmul(src.reshape(n, m), core.T, out=out.reshape(n, m))
+    post(out.reshape(-1), n, 1, m)
+    np.matmul(core, blocks, out=subbands)
+    post(work.reshape(-1), n, n, 1)
+    np.copyto(blocks, subbands)
+    return out
 
 
 def _check_divisible(shape, m: int) -> None:
@@ -271,52 +279,12 @@ def _check_divisible(shape, m: int) -> None:
         )
 
 
-def _fill(result: np.ndarray, view: np.ndarray) -> None:
-    # scipy.fft writes an overwritable float64 input in place; copy back only if it did not
-    if result.ctypes.data != view.ctypes.data or result.strides != view.strides:
-        np.copyto(view, result)
-
-
-def _fft_2d(plane: np.ndarray, cascade: RegularityCascade, inverse: bool = False) -> np.ndarray:
-    """The regular sine block transform of a C-contiguous plane, in place, on an FFT core.
-
-    Row pass: the orthonormal DST-II along the last axis of
-    plane.reshape(-1, M), then the cascade on the stride-M columns of
-    the flat plane.  Column pass: the DST-II along axis 1 of
-    plane.reshape(H/M, M, W), then the cascade on each block row's
-    contiguous (M, W) slab.  The inverse undoes the passes in reverse
-    order: inverse cascade first, then the DST-III (idst).
-    """
-    from scipy.fft import dst, idst  # 62 ms to import (43 of them scipy.special)
-
-    m = cascade.target_size
-    h, w = plane.shape
-    flat = plane.reshape(-1)
-    passes = (  # (segments transformed along axis 1, cascade lanes as (base, n, lane, step))
-        (plane.reshape(-1, m), [(0, flat.size // m, 1, m)]),
-        (plane.reshape(h // m, m, w), [(b, w, w, 1) for b in range(0, flat.size, m * w)]),
-    )
-    core = idst if inverse else dst
-    for segments, lanes in reversed(passes) if inverse else passes:
-        if inverse:
-            for base, n, lane, step in lanes:
-                cascade.apply_flat(flat, n, lane, step, base, inverse=True)
-        _fill(core(segments, type=2, axis=1, norm="ortho", overwrite_x=True), segments)
-        if not inverse:
-            for base, n, lane, step in lanes:
-                cascade.apply_flat(flat, n, lane, step, base)
-    return plane
-
-
 def forward_2d(img: GrayImage, transform) -> CoeffPlane:
     """Blockwise T B T' of an image: row pass, then column pass."""
     m = _block_size(transform)
     _check_divisible(img.pixels.shape, m)
     plane = img.pixels.astype(np.float64, order="C")
-    if _uses_fft_core(transform):
-        return CoeffPlane(_fft_2d(plane, transform.cascade), block=m)
-    core, post = _core_and_post(transform)
-    return CoeffPlane(_blockwise_2d(plane, plane, core, post), block=m)
+    return CoeffPlane(_blockwise_2d(plane, plane, transform), block=m)
 
 
 def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
@@ -324,11 +292,7 @@ def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
     m = _block_size(transform)
     if m != coeffs.block:
         raise ValueError(f"transform size {m} does not match plane block size {coeffs.block}")
-    if _uses_fft_core(transform):
-        plane = np.array(coeffs.values, order="C")
-        return _fft_2d(plane, transform.cascade, inverse=True)
-    core, post = _core_and_post(transform, inverse=True)
-    return _blockwise_2d(coeffs.values, np.empty(coeffs.values.shape), core, post, inverse=True)
+    return _blockwise_2d(coeffs.values, np.empty(coeffs.values.shape), transform, inverse=True)
 
 
 def subband_energy(coeffs: CoeffPlane) -> np.ndarray:
@@ -421,15 +385,17 @@ def bench_postprocessing(
 ) -> BenchReport:
     """Median wall time of the two postprocessing styles on one seeded image.
 
-    Both variants run forward_2d's dense-core pipeline, with the same
-    sine core as a matrix product, at every m (forward_2d itself
-    switches to an FFT core from FFT_MIN_SIZE on); one streams the
-    reflection cascade, the other multiplies the even coefficients by
-    the dense half-size matrix.  Every loaded OpenBLAS is held at one
-    thread for the timed region, and blas_pinning records how (or
-    "unpinned").  Reports the medians, their difference, and the max
-    absolute discrepancy between the two coefficient planes.
-    repeats >= 1; image_size a positive multiple of m.
+    Both variants run forward_2d's pipeline with the dense sine core at
+    every m (forward_2d itself switches to an FFT core from
+    FFT_MIN_SIZE on); one streams the reflection cascade, the other
+    multiplies the even coefficients by the dense half-size matrix, on
+    the same two layouts: the segment-major rows of the row pass and
+    the subband-major rows of the column pass.  Every loaded OpenBLAS
+    is held at one thread for the timed region, and blas_pinning
+    records how (or "unpinned").  Reports the medians, their
+    difference, and the max absolute discrepancy between the two
+    coefficient planes.  repeats >= 1; image_size a positive multiple
+    of m.
     """
     _check_size(m)
     if repeats < 1:
@@ -438,22 +404,26 @@ def bench_postprocessing(
     rng = np.random.default_rng(seed)
     img = GrayImage(rng.integers(0, 256, size=(image_size, image_size), dtype=np.uint8))
     fast = rfst(m)
-    core = fast.core.entries
     pp = _half_block(fast.cascade)
 
     # the integer-to-float conversion is identical for both styles, so it
     # stays outside the timed region
     plane0 = img.pixels.astype(np.float64)
-    out = np.empty_like(plane0)
-    even = np.empty((m // 2, plane0.size // m))
-    cascade_post = fast.cascade.apply
+    work = np.empty_like(plane0)
+    half = np.empty(plane0.size // 2)
+    cascade_post = fast.cascade.apply_flat
 
-    def dense_post(coef):
-        np.matmul(pp, coef[0::2], out=even)
-        coef[0::2] = even
+    def dense_post(flat, n, lane, step):
+        if step == 1:  # subband-major: coefficient k of every segment is row k of (M, n)
+            even, out = flat.reshape(m, n)[0::2], half.reshape(m // 2, n)
+            np.matmul(pp, even, out=out)
+        else:  # segment-major: coefficient k of every segment is column k of (n, M)
+            even, out = flat.reshape(n, m)[:, 0::2], half.reshape(n, m // 2)
+            np.matmul(even, pp.T, out=out)
+        even[...] = out
 
     def run(post) -> np.ndarray:
-        return _blockwise_2d(plane0, out, core, post)
+        return _blockwise_2d(plane0, work, fast.core, post=post)
 
     def timed(post) -> float:
         start = time.perf_counter()
@@ -468,7 +438,7 @@ def bench_postprocessing(
             cascade_times.append(timed(cascade_post))
             dense_times.append(timed(dense_post))
 
-    diff = float(np.abs(run(cascade_post).copy() - run(dense_post)).max())
+    diff = float(np.abs(run(cascade_post) - run(dense_post)).max())
     cascade_median = float(np.median(cascade_times))
     dense_median = float(np.median(dense_times))
     return BenchReport(

@@ -310,8 +310,9 @@ def test_bench_csv_shape(capsys):
     ("bench", "--size"),
     ("bench", "--size", "8", "--image-size"),
     ("freq", "--type", "dct", "--size", "8", "--out", "unused", "--points"),
+    ("bench", "--size", "8", "--repeats"),
 ), ids=("gen", "gen-cascade", "check", "coding-gain", "freq", "image", "bench", "image-size",
-        "points"))
+        "points", "repeats"))
 def test_sizes_above_the_cli_cap_exit_one_at_once(capsys, monkeypatch, argv):
     def no_build(*args, **kwargs):
         pytest.fail("a transform was built above the CLI size cap")

@@ -182,10 +182,6 @@ def _per_block(plane, mat):
     return (mat @ blocks @ mat.T).transpose(0, 2, 1, 3).reshape(h, w)
 
 
-def _assert_per_block(plane, coeffs, mat):
-    assert np.abs(coeffs - _per_block(plane, mat)).max() <= 1e-11
-
-
 _LAYOUTS = (
     np.ascontiguousarray,
     np.asfortranarray,
@@ -253,6 +249,24 @@ def test_fft_and_dense_cores_agree_at_large_blocks(monkeypatch):
     assert np.abs(fft_plane - img.pixels).max() <= 1e-9
 
 
+@pytest.mark.parametrize("m,planes", ((8, 2.1), (FFT_MIN_SIZE, 1.1)))
+def test_2d_pipeline_holds_at_most_two_planes(m, planes):
+    # the dense core writes into one second plane; the FFT core works in place
+    rng = np.random.default_rng(48)
+    img = _random_image(rng, 512, 768)
+    t = rfst(m)
+    coeffs = forward_2d(img, t)  # also builds rfst(8)'s dense core once, outside the trace
+    plane_bytes = coeffs.values.nbytes
+    for call, arg in ((forward_2d, img), (inverse_2d, coeffs)):
+        tracemalloc.start()
+        try:
+            call(arg, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= planes * plane_bytes, (call.__name__, peak / plane_bytes)
+
+
 @pytest.mark.parametrize("m", (8, FFT_MIN_SIZE))
 def test_scipy_fft_is_imported_by_the_fft_core_alone(m):
     src = str(Path(imaging.__file__).resolve().parents[1])
@@ -264,14 +278,23 @@ def test_scipy_fft_is_imported_by_the_fft_core_alone(m):
     assert done.stdout.strip() == str(m >= FFT_MIN_SIZE)
 
 
-@pytest.mark.parametrize("maker", (dct2, dst2, hadamard), ids=lambda f: f.__name__)
-def test_forward_accepts_plain_transforms(maker):
+# (M, block rows, block columns, bound): the dense core at the codec block size
+# and, past FFT_MIN_SIZE, where only rfst switches to the FFT core
+_PLAIN_CASES = [
+    pytest.param(maker, m, rows, cols, tol, id=maker.__name__ + ("" if m == 8 else f"-{m}"))
+    for m, rows, cols, tol in ((8, 4, 6, 1e-11), (FFT_MIN_SIZE, 2, 3, 1e-9))
+    for maker in (dct2, dst2, hadamard)
+]
+
+
+@pytest.mark.parametrize("maker,m,rows,cols,tol", _PLAIN_CASES)
+def test_forward_accepts_plain_transforms(maker, m, rows, cols, tol):
     rng = np.random.default_rng(35)
-    img = _random_image(rng, 4 * 8, 6 * 8)
-    t = maker(8)
+    img = _random_image(rng, rows * m, cols * m)
+    t = maker(m)
     coeffs = forward_2d(img, t)
-    _assert_per_block(img.pixels.astype(np.float64), coeffs.values, t.entries)
-    assert np.abs(inverse_2d(coeffs, t) - img.pixels).max() <= 1e-11
+    assert np.abs(coeffs.values - _per_block(img.pixels.astype(np.float64), t.entries)).max() <= tol
+    assert np.abs(inverse_2d(coeffs, t) - img.pixels).max() <= tol
 
 
 @pytest.mark.parametrize("m", (2, 4, 8, 16, 32))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rfst import regularity
+from rfst.imaging import GrayImage, forward_2d, inverse_2d
 from rfst.opcount import measure_cascade_ops, measure_half_postprocessing_ops
 from rfst.regularity import (
     RegularityCascade,
@@ -178,6 +179,21 @@ def test_cascade_kernel_on_strided_columns_and_offset_slabs(m, monkeypatch):
         cas.apply_flat(slabs.reshape(-1), 13, lane=13, step=1, base=m * 13, inverse=inverse)
         assert np.array_equal(slabs[0], block)
         assert np.abs(slabs[1] - expected).max() <= 1e-13
+
+
+def test_2d_pipeline_makes_one_blas_call_per_reflection_per_pass(monkeypatch):
+    # the dense core's row pass runs the cascade on the stride-8 columns of the whole
+    # plane (drotm), its column pass on the subband-major rows (dscal + drot); one
+    # call per block row would make 8 column-pass calls per reflection here
+    calls = {name: _counting(monkeypatch, name) for name in ("drotm", "drot")}
+    img = GrayImage(np.random.default_rng(10).integers(0, 256, size=(64, 48), dtype=np.uint8))
+    t = rfst(8)
+    coeffs = forward_2d(img, t)
+    assert {name: len(c) for name, c in calls.items()} == {"drotm": 3, "drot": 3}
+    for c in calls.values():
+        c.clear()
+    inverse_2d(coeffs, t)
+    assert {name: len(c) for name, c in calls.items()} == {"drotm": 3, "drot": 3}
 
 
 def test_cascade_validates_reflection_range():
