@@ -22,6 +22,7 @@ TRANSFORMS = {
     "rfst": regularity.rfst,
     "rdst": rdst,
 }
+TRANSFORM_KINDS = {"dct": "DCT2", "dst": "DST2", "ht": "HT", "rfst": "RFST", "rdst": "RDST"}
 TABLE1_SIZES = (2, 4, 8, 16, 32)
 MAX_SIZE = 4096  # the largest size measured: rfst(4096) takes ~2.2 s and ~580 MiB at peak
 
@@ -140,6 +141,9 @@ def _cmd_image(args) -> int:
             raise ValueError(
                 f"--block {args.block} does not match coefficient file block {plane.block}"
             )
+        if plane.kind not in (None, TRANSFORM_KINDS[args.transform]):
+            raise ValueError(f"--transform {args.transform} does not match coefficient "
+                             f"file transform {plane.kind}")
         real = imaging.inverse_2d(plane, TRANSFORMS[args.transform](args.block))
         pixels = np.clip(np.rint(real, out=real), 0, 255, out=real).astype(np.uint8)
         imaging.write_pgm(imaging.GrayImage(pixels), args.out)

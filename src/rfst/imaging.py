@@ -9,23 +9,22 @@ transform is a row pass and then a column pass; the inverse runs the
 adjoint passes in reverse order.
 
 forward_2d, inverse_2d and the bench share one pipeline, in which only
-the core varies.  Each pass reads the plane through strided views, so
-no segment matrix is gathered, and runs the postprocessing on lanes of
-the flat plane, as RegularityCascade.apply_flat takes them.  The row
-pass works on the segment-major (H*W/M, M) view, so its cascade is one
-BLAS drotm per reflection on the stride-M columns of the whole plane.
+the core varies.  Block rows are independent, so it runs the whole 2-D
+transform one cache-sized band of block rows at a time into one output
+plane, and only reads its input.  The row pass leaves a band
+segment-major, (n, M), so its cascade is one BLAS drotm per reflection
+on the stride-M columns; the column pass leaves it subband-major,
+(M, n) with one contiguous row per subband, so its cascade is one
+dscal + drot per reflection (RegularityCascade.apply_flat's lanes).
 
 Below FFT_MIN_SIZE, and for every plain matrix, the core is a dense
-product written into a second plane.  The column pass writes it in
-subband-major layout, an (M, H*W/M) array with one contiguous row per
-subband, so its cascade is one dscal + drot per reflection; one copy of
-W-long rows then puts the plane back in block layout.  From
+product, and a band of BAND_ROWS rows (or M) runs through two scratch
+buffers and is copied into block layout in the output plane.  From
 FFT_MIN_SIZE on, rfst's sine core is scipy.fft's orthonormal DST-II,
-O(M log M) per segment against the dense product's O(M^2), run in
-place on the plane the call owns; its column cascade runs on each
-block row's (M, W) slab, so no second plane is allocated.  The
-crossover was measured once and is fixed; scipy.fft is imported only
-on this path.
+O(M log M) per segment against the dense product's O(M^2); a band is
+one block row, whose two layouts coincide, transformed in place on the
+output plane.  Both constants were measured once and are fixed;
+scipy.fft is imported only on the FFT path.
 """
 
 from __future__ import annotations
@@ -40,21 +39,31 @@ import numpy as np
 
 from .rdst import _half_block
 from .regularity import FastRegularTransform, rfst
-from .transforms import OrthonormalTransform, _check_size
+from .transforms import KINDS, OrthonormalTransform, _check_size
 
-COEFF_MAGIC = b"RFC1"
+COEFF_MAGIC = b"RFC2"  # RFC1 files, whose last header word is zero, are still read
 
 # Block size from which forward_2d/inverse_2d run rfst's sine core as an FFT
-# (scipy.fft's DST-II) instead of a dense product.  Chosen once, not tuned at
-# run time.  Medians of 7 whole-pipeline calls on a 2048^2 plane, in ms
-# (forward/inverse), one BLAS thread on a shared 2-core x86-64 host, numpy
-# 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31:
+# (scipy.fft's DST-II) instead of a dense product.  Medians of 4 runs of 11
+# calls on a 2048^2 plane, forward/inverse ms, one BLAS thread on a shared
+# 2-core x86-64 host, numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31:
 #   M        32      64     128     256     512    1024
-#   dense  86/99 117/109 123/141 170/173 249/264 414/434
-#   FFT   106/105 108/99 112/117 126/135 130/140 136/132
-# From 256 on the FFT wins by 22% or more both ways; at 128 the gain is
-# within this host's run-to-run drift.
+#   dense   45/45   61/62   88/84 141/143 224/226 398/406
+#   FFT     76/75   81/77  100/97 109/109 108/114 128/133
+# From 256 on the FFT wins by 23% or more both ways; at 128 the dense core wins.
 FFT_MIN_SIZE = 256
+
+# Rows per band of the dense core, or M if larger: rows, not bytes, so outputs
+# do not depend on the machine; at 64 rows of 2048 columns the two scratch
+# buffers fill this host's 2 MiB L2.  Ranges of 6 medians of 11 calls (same
+# host, 2048^2, ms), and criterion 9's margin, bench_postprocessing(8, 512, 25):
+#   rows       16      32      64     128     256    2048
+#   M=8 fwd  23-32   25-31   23-33   26-35   29-37   56-64
+#       inv  22-26   20-28   23-31   29-35   30-34   52-61
+#   M=64 fwd                 50-60   50-64   61-73   83-98
+#       inv                  48-66   54-64   63-75   82-93
+#   margin   6-10%  13-18%  14-23%  24-26%                  (512 rows: 21-25%)
+BAND_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -80,13 +89,16 @@ class GrayImage:
 
 @dataclass(frozen=True)
 class CoeffPlane:
-    """Per-block transform coefficients stored in place of each block."""
+    """Per-block transform coefficients in place of each block; kind is their KINDS tag or None."""
 
     values: np.ndarray
     block: int
+    kind: str | None = None
 
     def __post_init__(self):
         _check_size(self.block)
+        if self.kind is not None and self.kind not in KINDS:
+            raise ValueError(f"unknown transform kind {self.kind!r}")
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("coefficient plane must be 2-D")
@@ -171,22 +183,26 @@ def write_pgm(img: GrayImage, path) -> None:
 
 
 def emit_coeff_file(plane: CoeffPlane) -> bytes:
-    header = np.array([plane.width, plane.height, plane.block, 0], dtype="<u4")
+    # the transform id is 1 + the kind's index in KINDS, or 0 for an unknown kind
+    kind_id = 0 if plane.kind is None else 1 + KINDS.index(plane.kind)
+    header = np.array([plane.width, plane.height, plane.block, kind_id], dtype="<u4")
     return b"".join((COEFF_MAGIC, header, np.ascontiguousarray(plane.values, dtype="<f8")))
 
 
 def parse_coeff_file(data: bytes) -> CoeffPlane:
-    if data[:4] != COEFF_MAGIC:
+    if data[:4] not in (b"RFC1", COEFF_MAGIC):
         raise ValueError("not a coefficient file (bad magic)")
     if len(data) < 20:
         raise ValueError("truncated coefficient header")
-    width, height, block, reserved = np.frombuffer(data, "<u4", 4, 4).tolist()
-    if reserved != 0:
+    width, height, block, kind_id = np.frombuffer(data, "<u4", 4, 4).tolist()
+    if data[:4] == b"RFC1" and kind_id != 0:
         raise ValueError("reserved header field must be zero")
+    if kind_id > len(KINDS):
+        raise ValueError(f"unknown transform id {kind_id} in coefficient header")
     values = _payload(data, 20, "<f8", (height, width), "coefficient payload")
     if not np.isfinite(values).all():
         raise ValueError("coefficient payload holds NaN or infinite values")
-    return CoeffPlane(values, block=block)
+    return CoeffPlane(values, block=block, kind=KINDS[kind_id - 1] if kind_id else None)
 
 
 def read_coeff_file(path) -> CoeffPlane:
@@ -203,68 +219,68 @@ def _block_size(transform) -> int:
     return transform.size
 
 
-def _blockwise_2d(src: np.ndarray, work: np.ndarray, transform, inverse: bool = False,
+def _blockwise_2d(src: np.ndarray, out: np.ndarray, transform, inverse: bool = False,
                   post=None) -> np.ndarray:
-    """The block transform of src (core, then postprocessing, along rows, then columns).
+    """The block transform of src into out (core, then postprocessing, along rows, then columns).
 
     transform is rfst(M), whose cascade is the postprocessing and whose
     sine core is a dense product below FFT_MIN_SIZE and scipy.fft's
     orthonormal DST-II from there on, or a plain matrix, whose
     coefficients get post (None for none).  post(flat, n, lane, step)
-    runs in place on the lanes of RegularityCascade.apply_flat.  work is
-    a C-contiguous float64 plane of src's shape that the call
-    overwrites; it may be src, which is otherwise only read.  The
-    inverse runs the adjoint passes in reverse order.  Returns the
-    result: work on the FFT core, a second plane on the dense one.
+    runs in place on the lanes of RegularityCascade.apply_flat.  src,
+    of any layout and dtype, is only read; out is a C-contiguous
+    float64 plane of its shape.  The inverse runs the adjoint passes in
+    reverse order.  Returns out.
     """
     m = transform.size
     h, w = src.shape
-    n = src.size // m  # length-M segments per pass
     if isinstance(transform, FastRegularTransform):
         post = functools.partial(transform.cascade.apply_flat, inverse=inverse)
-        core = None if m >= FFT_MIN_SIZE else transform.core.entries
+        mat = None if m >= FFT_MIN_SIZE else transform.core.entries
     else:
-        core = transform.entries
+        mat = transform.entries
         post = post or (lambda *lanes: None)
-    if core is None:  # in place on work, each pass on the plane's own layout
+    if mat is None:  # bands of one block row, transformed in place on out
         from scipy.fft import dst, idst  # 62 ms to import (43 of them scipy.special)
 
-        def fft(segments):  # along axis 1
-            out = (idst if inverse else dst)(segments, type=2, axis=1, norm="ortho",
-                                             overwrite_x=True)
-            # scipy.fft writes an overwritable float64 input in place; copy back if it did not
-            if out.ctypes.data != segments.ctypes.data or out.strides != segments.strides:
-                np.copyto(segments, out)
+        rows, scratch = m, None
 
-        if work is not src:
-            np.copyto(work, src)
-        flat = work.reshape(-1)
-        # rows: the segment-major (n, M) view, coefficient k at stride M; columns:
-        # one (M, W) slab per block row, its subbands contiguous rows
-        steps = [(fft, work.reshape(n, m)), (post, flat, n, 1, m),
-                 (fft, work.reshape(h // m, m, w)),
-                 *((post, flat, w, w, 1, base) for base in range(0, work.size, m * w))]
-        # for the inverse, fft is idst and post the inverse cascade, so the steps run reversed
-        for step, *args in reversed(steps) if inverse else steps:
-            step(*args)
-        return work
-    # rows: segment-major (n, M) views; columns: out's block rows and work's
-    # subband-major layout, in which subband k of all segments is one contiguous row
-    out = np.empty(work.shape)
-    blocks = out.reshape(h // m, m, w)
-    subbands = work.reshape(m, h // m, w).transpose(1, 0, 2)
-    if inverse:
-        np.copyto(subbands, src.reshape(h // m, m, w))
-        post(work.reshape(-1), n, n, 1)
-        np.matmul(core.T, subbands, out=blocks)
-        post(out.reshape(-1), n, 1, m)
-        np.matmul(out.reshape(n, m), core, out=work.reshape(n, m))
-        return work
-    np.matmul(src.reshape(n, m), core.T, out=out.reshape(n, m))
-    post(out.reshape(-1), n, 1, m)
-    np.matmul(core, blocks, out=subbands)
-    post(work.reshape(-1), n, n, 1)
-    np.copyto(blocks, subbands)
+        def core(x, y):  # along axis 1; y views x's memory in x's order
+            res = (idst if inverse else dst)(x, type=2, axis=1, norm="ortho", overwrite_x=True)
+            # scipy.fft writes an overwritable float64 input in place; copy back if it did not
+            if res.ctypes.data != x.ctypes.data or res.strides != x.strides:
+                np.copyto(x, res)
+    else:  # bands of max(BAND_ROWS, M) rows through two band-sized scratch buffers
+        rows = max(BAND_ROWS, m)
+        scratch = np.empty((2, min(rows, h) * w))
+        mat = mat.T if inverse else mat
+
+        def core(x, y):  # mat along axis 1 of (segments, M) or (block rows, M, W)
+            np.matmul(x, mat.T, out=y) if x.ndim == 2 else np.matmul(mat, x, out=y)
+
+    for top in range(0, h, rows):
+        r = min(rows, h - top)
+        n = r * w // m  # length-M segments per pass in this band
+        band = out[top:top + r]
+        # the row pass leaves x segment-major, coefficient k of (n, M) at stride M; the
+        # column pass leaves y subband-major, subband k one contiguous row of (M, n)
+        x, y = (band.reshape(-1),) * 2 if scratch is None else scratch[:, :r * w]
+        blocks = x.reshape(r // m, m, w)
+        subbands = y.reshape(m, r // m, w).transpose(1, 0, 2)
+        if inverse:
+            np.copyto(subbands, src[top:top + r].reshape(r // m, m, w))
+            post(y, n, n, 1)
+            core(subbands, blocks)
+            post(x, n, 1, m)
+            core(x.reshape(n, m), band.reshape(n, m))
+        else:
+            np.copyto(y.reshape(r, w), src[top:top + r])
+            core(y.reshape(n, m), x.reshape(n, m))
+            post(x, n, 1, m)
+            core(blocks, subbands)
+            post(y, n, n, 1)
+            if scratch is not None:
+                np.copyto(band.reshape(r // m, m, w), subbands)
     return out
 
 
@@ -283,8 +299,8 @@ def forward_2d(img: GrayImage, transform) -> CoeffPlane:
     """Blockwise T B T' of an image: row pass, then column pass."""
     m = _block_size(transform)
     _check_divisible(img.pixels.shape, m)
-    plane = img.pixels.astype(np.float64, order="C")
-    return CoeffPlane(_blockwise_2d(plane, plane, transform), block=m)
+    values = _blockwise_2d(img.pixels, np.empty(img.pixels.shape), transform)
+    return CoeffPlane(values, block=m, kind=transform.kind)
 
 
 def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
@@ -378,6 +394,7 @@ class BenchReport:
     saved_s: float
     max_abs_diff: float
     blas_pinning: str
+    band_rows: int
 
 
 def bench_postprocessing(
@@ -392,10 +409,10 @@ def bench_postprocessing(
     the same two layouts: the segment-major rows of the row pass and
     the subband-major rows of the column pass.  Every loaded OpenBLAS
     is held at one thread for the timed region, and blas_pinning
-    records how (or "unpinned").  Reports the medians, their
-    difference, and the max absolute discrepancy between the two
-    coefficient planes.  repeats >= 1; image_size a positive multiple
-    of m.
+    records how (or "unpinned"); band_rows is the band height the
+    pipeline ran.  Reports the medians, their difference, and the max
+    absolute discrepancy between the two coefficient planes.
+    repeats >= 1; image_size a positive multiple of m.
     """
     _check_size(m)
     if repeats < 1:
@@ -410,20 +427,21 @@ def bench_postprocessing(
     # stays outside the timed region
     plane0 = img.pixels.astype(np.float64)
     work = np.empty_like(plane0)
-    half = np.empty(plane0.size // 2)
+    band_rows = min(max(BAND_ROWS, m), image_size)
+    half = np.empty(band_rows * image_size // 2)
     cascade_post = fast.cascade.apply_flat
 
     def dense_post(flat, n, lane, step):
         if step == 1:  # subband-major: coefficient k of every segment is row k of (M, n)
-            even, out = flat.reshape(m, n)[0::2], half.reshape(m // 2, n)
+            even, out = flat.reshape(m, n)[0::2], half[: n * m // 2].reshape(m // 2, n)
             np.matmul(pp, even, out=out)
         else:  # segment-major: coefficient k of every segment is column k of (n, M)
-            even, out = flat.reshape(n, m)[:, 0::2], half.reshape(n, m // 2)
+            even, out = flat.reshape(n, m)[:, 0::2], half[: n * m // 2].reshape(n, m // 2)
             np.matmul(even, pp.T, out=out)
         even[...] = out
 
-    def run(post) -> np.ndarray:
-        return _blockwise_2d(plane0, work, fast.core, post=post)
+    def run(post, out=work) -> np.ndarray:
+        return _blockwise_2d(plane0, out, fast.core, post=post)
 
     def timed(post) -> float:
         start = time.perf_counter()
@@ -438,7 +456,7 @@ def bench_postprocessing(
             cascade_times.append(timed(cascade_post))
             dense_times.append(timed(dense_post))
 
-    diff = float(np.abs(run(cascade_post) - run(dense_post)).max())
+    diff = float(np.abs(run(cascade_post, np.empty_like(plane0)) - run(dense_post)).max())
     cascade_median = float(np.median(cascade_times))
     dense_median = float(np.median(dense_times))
     return BenchReport(
@@ -450,4 +468,5 @@ def bench_postprocessing(
         saved_s=dense_median - cascade_median,
         max_abs_diff=diff,
         blas_pinning=pinning,
+        band_rows=band_rows,
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg.blas import drot, drotm, dscal
@@ -147,17 +148,6 @@ def _cascade(dc_response: np.ndarray, partners) -> RegularityCascade:
     return RegularityCascade(tuple(reflections), a.size)
 
 
-def build_general_cascade(t: OrthonormalTransform) -> RegularityCascade:
-    """Cascade of M - 1 reflections making an arbitrary orthonormal transform regular.
-
-    Walks j = 1..M-1, so the final DC response is exactly
-    [sqrt(M), 0, ..., 0] with a positive lead, and the cascade length
-    is fixed at M - 1.  Nothing in the package builds it; it is the
-    reference that the reduced cascade of rfst(M) is checked against.
-    """
-    return _cascade(t.entries @ np.ones(t.size), range(1, t.size))
-
-
 @dataclass(frozen=True)
 class FastRegularTransform:
     """Sine transform followed by its regularity cascade, applied streaming.
@@ -171,6 +161,7 @@ class FastRegularTransform:
     """
 
     cascade: RegularityCascade
+    kind: ClassVar[str] = "RFST"
 
     @property
     def size(self) -> int:
@@ -200,7 +191,7 @@ class FastRegularTransform:
     @cached_property
     def _matrix(self) -> OrthonormalTransform:
         entries = self.cascade.apply(self.core.entries.copy())
-        return OrthonormalTransform(entries, kind="RFST")
+        return OrthonormalTransform(entries, kind=self.kind)
 
 
 def rfst(m: int) -> FastRegularTransform:

@@ -17,7 +17,6 @@ acting on a pair of coordinates, which squares to the identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import scipy.linalg
 
 ORTHONORMALITY_TOL = 1e-12
 
-KINDS = ("DCT2", "DST2", "HT", "RFST", "RDST", "CUSTOM")
+KINDS = ("DCT2", "DST2", "HT", "RFST", "RDST", "CUSTOM")  # RFC2 ids are 1 + index: append only
 
 
 def is_power_of_two(m: int) -> bool:
@@ -119,19 +118,6 @@ def reflect_pair(v, i: int, j: int, cos_t: float, sin_t: float) -> None:
     new_j = vi * sin_t - vj * cos_t
     v[i] = new_i
     v[j] = new_j
-
-
-def reflection_matrix(g: GivensReflection, size: int) -> np.ndarray:
-    """Densify a single reflection to a size x size matrix."""
-    if g.j >= size:
-        raise ValueError(f"reflection index {g.j} out of range for size {size}")
-    c, s = math.cos(g.theta), math.sin(g.theta)
-    mat = np.eye(size)
-    mat[g.i, g.i] = c
-    mat[g.j, g.j] = -c
-    mat[g.i, g.j] = s
-    mat[g.j, g.i] = s
-    return mat
 
 
 def _cosine_table(m: int) -> np.ndarray:

@@ -218,6 +218,56 @@ def test_image_block_mismatch_is_validation_error(tmp_path, capsys):
     assert "does not match" in err
 
 
+def _forward_rfst_file(tmp_path, capsys):
+    src, coeff = tmp_path / "in.pgm", tmp_path / "c.rfc"
+    write_pgm(GrayImage(np.random.default_rng(50).integers(0, 256, size=(16, 24), dtype=np.uint8)), src)
+    code, _, _ = run(capsys, "image", "forward", "--transform", "rfst",
+                     "--block", "8", "--in", str(src), "--out", str(coeff))
+    assert code == 0
+    return src, coeff
+
+
+def test_image_inverse_rejects_another_transforms_file(tmp_path, capsys, monkeypatch):
+    _, coeff = _forward_rfst_file(tmp_path, capsys)
+    assert coeff.read_bytes()[:4] == b"RFC2" and read_coeff_file(coeff).kind == "RFST"
+
+    def no_build(*args, **kwargs):
+        pytest.fail("a transform was built before the input was checked")
+
+    monkeypatch.setitem(cli.TRANSFORMS, "dct", no_build)
+    out = tmp_path / "o.pgm"
+    code, stdout, err = run(capsys, "image", "inverse", "--transform", "dct",
+                            "--block", "8", "--in", str(coeff), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == "rfst: error: --transform dct does not match coefficient file transform RFST\n"
+    assert not out.exists()
+
+
+def test_image_inverse_reads_rfc1_files(tmp_path, capsys):
+    # RFC1 is RFC2 with a zero last header word and no transform id
+    src, coeff = _forward_rfst_file(tmp_path, capsys)
+    blob = coeff.read_bytes()
+    old, back = tmp_path / "old.rfc", tmp_path / "back.pgm"
+    old.write_bytes(b"RFC1" + blob[4:16] + bytes(4) + blob[20:])
+    code, _, err = run(capsys, "image", "inverse", "--transform", "rfst",
+                       "--block", "8", "--in", str(old), "--out", str(back))
+    assert (code, err) == (0, "")
+    assert back.read_bytes() == src.read_bytes()
+
+
+def test_image_inverse_rejects_unknown_transform_id(tmp_path, capsys):
+    _, coeff = _forward_rfst_file(tmp_path, capsys)
+    blob = bytearray(coeff.read_bytes())
+    blob[16:20] = np.array([99], dtype="<u4").tobytes()
+    coeff.write_bytes(bytes(blob))
+    out = tmp_path / "o.pgm"
+    code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst",
+                            "--block", "8", "--in", str(coeff), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == "rfst: error: unknown transform id 99 in coefficient header\n"
+    assert not out.exists()
+
+
 def test_image_inverse_rejects_bad_block_header(tmp_path, capsys):
     coeff = tmp_path / "c.rfc"
     header = np.array([8, 8, 0, 0], dtype="<u4").tobytes()  # width, height, block=0

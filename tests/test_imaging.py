@@ -10,6 +10,7 @@ import pytest
 
 from rfst import imaging
 from rfst.imaging import (
+    BAND_ROWS,
     FFT_MIN_SIZE,
     CoeffPlane,
     GrayImage,
@@ -28,7 +29,7 @@ from rfst.imaging import (
     write_pgm,
 )
 from rfst.regularity import rfst
-from rfst.transforms import dct2, dst2, hadamard
+from rfst.transforms import KINDS, dct2, dst2, hadamard
 
 
 def _random_image(rng, h, w):
@@ -104,11 +105,22 @@ def test_coeff_file_round_trip(tmp_path):
     rng = np.random.default_rng(33)
     plane = CoeffPlane(rng.standard_normal((8, 12)), block=4)
     blob = emit_coeff_file(plane)
-    assert blob[:4] == b"RFC1"
+    assert blob[:4] == b"RFC2"
     again = parse_coeff_file(blob)
-    assert again.block == 4
+    assert again.block == 4 and again.kind is None
     assert np.array_equal(again.values, plane.values)
     _assert_owned_array(again.values)
+    # RFC2's transform ids are part of the file format
+    ids = {"DCT2": 1, "DST2": 2, "HT": 3, "RFST": 4, "RDST": 5, "CUSTOM": 6}
+    assert set(ids) == set(KINDS)
+    for kind, kind_id in ids.items():
+        tagged_blob = emit_coeff_file(CoeffPlane(plane.values, block=4, kind=kind))
+        assert np.frombuffer(tagged_blob, "<u4", 1, 16)[0] == kind_id
+        tagged = parse_coeff_file(tagged_blob)
+        assert tagged.kind == kind and np.array_equal(tagged.values, plane.values)
+    # an RFC1 file is the same container with a zero last header word and no kind
+    old = parse_coeff_file(b"RFC1" + blob[4:])
+    assert old.kind is None and np.array_equal(old.values, plane.values)
     path = tmp_path / "t.rfc"
     write_coeff_file(plane, path)
     assert np.array_equal(read_coeff_file(path).values, plane.values)
@@ -119,10 +131,17 @@ def test_coeff_file_rejects_bad_inputs():
     blob = bytearray(emit_coeff_file(plane))
     with pytest.raises(ValueError):
         parse_coeff_file(b"JUNK" + bytes(blob[4:]))
-    tampered = bytearray(blob)
-    tampered[16] = 1  # reserved header word
-    with pytest.raises(ValueError):
+    tampered = bytearray(b"RFC1" + blob[4:])
+    tampered[16] = 1  # RFC1's reserved header word
+    with pytest.raises(ValueError, match="reserved header field must be zero"):
         parse_coeff_file(bytes(tampered))
+    for kind_id in (len(KINDS) + 1, 2**32 - 1):
+        tampered = bytearray(blob)
+        tampered[16:20] = np.array([kind_id], dtype="<u4").tobytes()  # RFC2's transform id
+        with pytest.raises(ValueError, match=f"unknown transform id {kind_id}"):
+            parse_coeff_file(bytes(tampered))
+    with pytest.raises(ValueError, match="unknown transform kind"):
+        CoeffPlane(np.zeros((4, 4)), block=4, kind="DST4")
     with pytest.raises(ValueError):
         parse_coeff_file(bytes(blob[:-8]))
     for block in (0, 3):
@@ -189,10 +208,12 @@ _LAYOUTS = (
     lambda a: np.stack([a, a], axis=2)[:, :, 0],  # strided view
 )
 
-# (M, block rows, block columns, bound).  From FFT_MIN_SIZE on, rfst runs its
-# FFT core; a 2 x 3 grid of blocks keeps those planes small.  Coefficients grow
-# as 255 M, so the bound there is about 35 ulps of the largest one at
-# 2 FFT_MIN_SIZE (255 * 512 * 2^-52 = 2.9e-11); the measured error is 8.7e-11.
+# (M, block rows, block columns, bound).  The "bands" case is 2 BAND_ROWS + M
+# rows tall, so it crosses two band edges and ends in a partial band.  From
+# FFT_MIN_SIZE on, rfst runs its FFT core; a 2 x 3 grid of blocks keeps those
+# planes small.  Coefficients grow as 255 M, so the bound there is about 35
+# ulps of the largest one at 2 FFT_MIN_SIZE (255 * 512 * 2^-52 = 2.9e-11); the
+# measured error is 8.7e-11.
 _ORACLE_CASES = [
     pytest.param(m, rows, cols, tol, id=str(m))
     for m, rows, cols, tol in (
@@ -202,7 +223,7 @@ _ORACLE_CASES = [
         (FFT_MIN_SIZE, 2, 3, 1e-9),
         (2 * FFT_MIN_SIZE, 2, 3, 1e-9),
     )
-]
+] + [pytest.param(8, 2 * BAND_ROWS // 8 + 1, 3, 1e-11, id="8-bands")]
 
 
 @pytest.mark.parametrize("m,rows,cols,tol", _ORACLE_CASES)
@@ -249,9 +270,10 @@ def test_fft_and_dense_cores_agree_at_large_blocks(monkeypatch):
     assert np.abs(fft_plane - img.pixels).max() <= 1e-9
 
 
-@pytest.mark.parametrize("m,planes", ((8, 2.1), (FFT_MIN_SIZE, 1.1)))
+@pytest.mark.parametrize("m,planes", ((8, 1.3), (FFT_MIN_SIZE, 1.1)))
 def test_2d_pipeline_holds_at_most_two_planes(m, planes):
-    # the dense core writes into one second plane; the FFT core works in place
+    # the output plane and, on the dense core, two band-sized scratch buffers:
+    # 2 x 64 of 512 rows is 1.25 planes; the FFT core works in place on its output
     rng = np.random.default_rng(48)
     img = _random_image(rng, 512, 768)
     t = rfst(m)
@@ -265,6 +287,20 @@ def test_2d_pipeline_holds_at_most_two_planes(m, planes):
         finally:
             tracemalloc.stop()
         assert peak <= planes * plane_bytes, (call.__name__, peak / plane_bytes)
+
+
+@pytest.mark.parametrize("maker,m", ((rfst, 8), (dct2, 8), (rfst, FFT_MIN_SIZE)))
+def test_outputs_do_not_depend_on_band_height(monkeypatch, maker, m):
+    rng = np.random.default_rng(49)
+    img = _random_image(rng, 2 * max(BAND_ROWS, m) + m, 6 * m)
+    t = maker(m)
+    shipped = forward_2d(img, t)
+    plane = inverse_2d(shipped, t)
+    for rows in (m, img.height):
+        monkeypatch.setattr(imaging, "BAND_ROWS", rows)
+        coeffs = forward_2d(img, t)
+        assert np.array_equal(coeffs.values, shipped.values)
+        assert np.array_equal(inverse_2d(coeffs, t), plane)
 
 
 @pytest.mark.parametrize("m", (8, FFT_MIN_SIZE))
@@ -320,6 +356,12 @@ def test_shape_checks():
         forward_2d(GrayImage(np.zeros((0, 8), dtype=np.uint8)), rfst(8))
     with pytest.raises(ValueError, match="empty coefficient plane 8x0"):
         inverse_2d(CoeffPlane(np.zeros((0, 8)), block=8), rfst(8))
+
+
+def test_forward_tags_the_plane_with_its_transform_kind():
+    img = _random_image(np.random.default_rng(51), 16, 16)
+    for t, kind in ((rfst(8), "RFST"), (dct2(8), "DCT2"), (dst2(8), "DST2"), (hadamard(8), "HT")):
+        assert forward_2d(img, t).kind == kind
 
 
 def test_subband_energy_partitions_total_energy():
@@ -386,6 +428,15 @@ def test_bench_reports_consistent_fields():
     assert report.max_abs_diff <= 1e-10
     assert report.blas_pinning == "unpinned" or report.blas_pinning.startswith(
         ("openblas_set_num_threads", "scipy_openblas_set_num_threads"))
+
+
+@pytest.mark.parametrize("m,image_size,band_rows", (
+    (8, 3 * BAND_ROWS, BAND_ROWS), (8, 16, 16), (2 * BAND_ROWS, 4 * BAND_ROWS, 2 * BAND_ROWS)))
+def test_bench_reports_its_band_height(m, image_size, band_rows):
+    # max(BAND_ROWS, M) rows, or the whole image when it is shorter
+    report = bench_postprocessing(m, image_size=image_size, repeats=1, seed=6)
+    assert report.band_rows == band_rows
+    assert report.max_abs_diff <= 1e-10
 
 
 def test_bench_validates_input():

@@ -58,7 +58,7 @@ def test_parse_pgm_raises_only_value_error(data):
 
 
 @FUZZ
-@given(_header_prefixed(b"RFC1", rfc_headers))
+@given(st.sampled_from((b"RFC1", b"RFC2")).flatmap(lambda magic: _header_prefixed(magic, rfc_headers)))
 def test_parse_coeff_file_raises_only_value_error(data):
     _only_value_error(parse_coeff_file, data)
 

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from rfst import regularity
-from rfst.imaging import GrayImage, forward_2d, inverse_2d
+from rfst.imaging import BAND_ROWS, GrayImage, forward_2d, inverse_2d
 from rfst.opcount import measure_cascade_ops, measure_half_postprocessing_ops
 from rfst.regularity import (
     RegularityCascade,
     _cascade,
-    build_general_cascade,
     emit_cascade_csv,
     extra_op_count,
     rfst,
@@ -19,6 +18,17 @@ from rfst.regularity import (
 from rfst.transforms import GivensReflection, OrthonormalTransform, dst2, hadamard, reflect_pair
 
 SIZES = (2, 4, 8, 16, 32, 64)
+
+
+def build_general_cascade(t: OrthonormalTransform) -> RegularityCascade:
+    """Cascade of M - 1 reflections making an arbitrary orthonormal transform regular.
+
+    Walks j = 1..M-1, so the final DC response is exactly
+    [sqrt(M), 0, ..., 0] with a positive lead, and the cascade length
+    is fixed at M - 1: the reference the reduced cascade of rfst(M) is
+    checked against.
+    """
+    return _cascade(t.entries @ np.ones(t.size), range(1, t.size))
 
 
 @pytest.mark.parametrize("m", SIZES)
@@ -182,18 +192,21 @@ def test_cascade_kernel_on_strided_columns_and_offset_slabs(m, monkeypatch):
 
 
 def test_2d_pipeline_makes_one_blas_call_per_reflection_per_pass(monkeypatch):
-    # the dense core's row pass runs the cascade on the stride-8 columns of the whole
-    # plane (drotm), its column pass on the subband-major rows (dscal + drot); one
-    # call per block row would make 8 column-pass calls per reflection here
+    # the dense core's row pass runs the cascade on the stride-8 columns of each
+    # band (drotm), its column pass on the band's subband-major rows (dscal + drot);
+    # one call per block row would make 8 column-pass calls per reflection on 64 rows
     calls = {name: _counting(monkeypatch, name) for name in ("drotm", "drot")}
-    img = GrayImage(np.random.default_rng(10).integers(0, 256, size=(64, 48), dtype=np.uint8))
     t = rfst(8)
-    coeffs = forward_2d(img, t)
-    assert {name: len(c) for name, c in calls.items()} == {"drotm": 3, "drot": 3}
-    for c in calls.values():
-        c.clear()
-    inverse_2d(coeffs, t)
-    assert {name: len(c) for name, c in calls.items()} == {"drotm": 3, "drot": 3}
+    for rows, bands in ((64, 1), (3 * BAND_ROWS, 3)):
+        img = GrayImage(np.random.default_rng(10).integers(0, 256, size=(rows, 48), dtype=np.uint8))
+        for c in calls.values():
+            c.clear()
+        coeffs = forward_2d(img, t)
+        assert {name: len(c) for name, c in calls.items()} == {"drotm": 3 * bands, "drot": 3 * bands}
+        for c in calls.values():
+            c.clear()
+        inverse_2d(coeffs, t)
+        assert {name: len(c) for name, c in calls.items()} == {"drotm": 3 * bands, "drot": 3 * bands}
 
 
 def test_cascade_validates_reflection_range():

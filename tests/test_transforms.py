@@ -18,10 +18,22 @@ from rfst.transforms import (
     hadamard,
     is_power_of_two,
     reflect_pair,
-    reflection_matrix,
 )
 
 SIZES = (2, 4, 8, 16, 32, 64)
+
+
+def reflection_matrix(g: GivensReflection, size: int) -> np.ndarray:
+    """Densify a single reflection to a size x size matrix."""
+    if g.j >= size:
+        raise ValueError(f"reflection index {g.j} out of range for size {size}")
+    c, s = math.cos(g.theta), math.sin(g.theta)
+    mat = np.eye(size)
+    mat[g.i, g.i] = c
+    mat[g.j, g.j] = -c
+    mat[g.i, g.j] = s
+    mat[g.j, g.i] = s
+    return mat
 
 
 def test_is_power_of_two():
