@@ -144,17 +144,15 @@ def _cmd_image(args) -> int:
         if plane.kind not in (None, TRANSFORM_KINDS[args.transform]):
             raise ValueError(f"--transform {args.transform} does not match coefficient "
                              f"file transform {plane.kind}")
-        real = imaging.inverse_2d(plane, TRANSFORMS[args.transform](args.block))
-        pixels = np.clip(np.rint(real, out=real), 0, 255, out=real).astype(np.uint8)
-        imaging.write_pgm(imaging.GrayImage(pixels), args.out)
+        imaging._inverse_file(plane, TRANSFORMS[args.transform](args.block), args.out)
         return 0
     img = imaging.read_pgm(args.infile)
     imaging._check_divisible(img.pixels.shape, args.block)
-    plane = imaging.forward_2d(img, TRANSFORMS[args.transform](args.block))
+    transform = TRANSFORMS[args.transform](args.block)
     if args.action == "forward":
-        imaging.write_coeff_file(plane, args.out)
+        imaging._forward_file(img, transform, args.out)
     else:  # mosaic
-        imaging.write_pgm(imaging.subband_mosaic(plane), args.out)
+        imaging.write_pgm(imaging.subband_mosaic(imaging.forward_2d(img, transform)), args.out)
     return 0
 
 

@@ -8,14 +8,15 @@ matrix, or the dense half-size matrix in the timing bench.  Each
 transform is a row pass and then a column pass; the inverse runs the
 adjoint passes in reverse order.
 
-forward_2d, inverse_2d and the bench share one pipeline, in which only
-the core varies.  Block rows are independent, so it runs the whole 2-D
-transform one cache-sized band of block rows at a time into one output
-plane, and only reads its input.  The row pass leaves a band
-segment-major, (n, M), so its cascade is one BLAS drotm per reflection
-on the stride-M columns; the column pass leaves it subband-major,
-(M, n) with one contiguous row per subband, so its cascade is one
-dscal + drot per reflection (RegularityCascade.apply_flat's lanes).
+forward_2d, inverse_2d, the CLI's image commands and the bench share
+one pipeline, in which only the core varies.  Block rows are
+independent, so it runs the whole 2-D transform one cache-sized band of
+block rows at a time into one output plane, and only reads its input.
+The row pass leaves a band segment-major, (n, M), so its cascade is one
+BLAS drotm per reflection on the stride-M columns; the column pass
+leaves it subband-major, (M, n) with one contiguous row per subband, so
+its cascade is one dscal + drot per reflection
+(RegularityCascade.apply_flat's lanes).
 
 Below FFT_MIN_SIZE, and for every plain matrix, the core is a dense
 product, and a band of BAND_ROWS rows (or M) runs through two scratch
@@ -25,12 +26,19 @@ O(M log M) per segment against the dense product's O(M^2); a band is
 one block row, whose two layouts coincide, transformed in place on the
 output plane.  Both constants were measured once and are fixed;
 scipy.fft is imported only on the FFT path.
+
+The loop yields each band as it is finished, so the CLI's image
+commands stream: `rfst image forward` writes every band to the RFC file
+from one band-sized buffer and holds no coefficient plane, and `rfst
+image inverse` reads the file into one plane (readinto, after a size
+check) and rounds and writes every band to the PGM while it is in cache.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,20 +128,63 @@ class CoeffPlane:
         return self.values.shape[0]
 
 
-def _payload(data: bytes, offset: int, dtype, shape, what: str) -> np.ndarray:
-    """The payload filling data from offset to its end, as one owned C-ordered copy."""
-    count = shape[0] * shape[1]
-    end = offset + np.dtype(dtype).itemsize * count
-    if len(data) < end:
+def _read_payload(f, dtype, shape, what: str) -> np.ndarray:
+    """The payload filling f from its position to its end, read into one new C-ordered array.
+
+    f's size is compared with the payload's before anything is
+    allocated, so a header that claims a huge plane fails as truncated;
+    an input that cannot be sized, such as a pipe, is refused.
+    """
+    if not f.seekable():
+        raise ValueError(
+            f"cannot read the {what} from a pipe or another input that is not seekable")
+    start = f.tell()
+    size = f.seek(0, io.SEEK_END) - start
+    nbytes = np.dtype(dtype).itemsize * shape[0] * shape[1]
+    if size < nbytes:
         raise ValueError(f"truncated {what}")
-    if len(data) > end:
+    if size > nbytes:
         raise ValueError(f"trailing bytes after {what}")
-    return np.frombuffer(data, dtype, count, offset).reshape(shape).copy()
+    f.seek(start)
+    values = np.empty(shape, dtype)
+    if f.readinto(values) != nbytes:  # the file shrank after it was sized
+        raise ValueError(f"truncated {what}")
+    return values
+
+
+def _write(f, header: bytes, bands, dtype) -> None:
+    """Write header, then a payload given as bands of rows in order, each as C-ordered dtype."""
+    f.write(header)
+    for band in bands:
+        f.write(np.ascontiguousarray(band, dtype=dtype))
+
+
+def _emit(header: bytes, payload: np.ndarray, dtype) -> bytes:
+    f = io.BytesIO()
+    _write(f, header, (payload,), dtype)
+    return f.getvalue()
+
+
+@contextlib.contextmanager
+def _output(path):
+    """path opened for writing; if the block raises, a regular file there is removed again."""
+    f = open(path, "wb")
+    try:
+        with f:
+            yield f
+    except BaseException:
+        path = Path(path)
+        if path.is_file() and not path.is_symlink():  # never /dev/stdout or a device
+            path.unlink()
+        raise
+
+
+def _pgm_header(width: int, height: int) -> bytes:
+    return f"P5\n{width} {height}\n255\n".encode("ascii")
 
 
 def emit_pgm(img: GrayImage) -> bytes:
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return b"".join((header, np.ascontiguousarray(img.pixels)))
+    return _emit(_pgm_header(img.width, img.height), img.pixels, np.uint8)
 
 
 def parse_pgm(data: bytes) -> GrayImage:
@@ -167,8 +218,9 @@ def parse_pgm(data: bytes) -> GrayImage:
         raise ValueError("bad PGM dimensions")
     if not 0 < maxval <= 255:
         raise ValueError(f"unsupported PGM maxval {maxval} (8-bit only)")
-    pos += 1  # single whitespace byte separating header from raster
-    pixels = _payload(data, pos, np.uint8, (height, width), "PGM raster")
+    raster = io.BytesIO(data)
+    raster.seek(pos + 1)  # single whitespace byte separating header from raster
+    pixels = _read_payload(raster, np.uint8, (height, width), "PGM raster")
     if maxval < 255 and pixels.max() > maxval:
         raise ValueError(f"PGM pixel value {pixels.max()} exceeds maxval {maxval}")
     return GrayImage(pixels)
@@ -179,38 +231,52 @@ def read_pgm(path) -> GrayImage:
 
 
 def write_pgm(img: GrayImage, path) -> None:
-    Path(path).write_bytes(emit_pgm(img))
+    with _output(path) as f:
+        _write(f, _pgm_header(img.width, img.height), (img.pixels,), np.uint8)
+
+
+def _coeff_header(shape, block: int, kind: str | None) -> bytes:
+    # the transform id is 1 + the kind's index in KINDS, or 0 for an unknown kind
+    kind_id = 0 if kind is None else 1 + KINDS.index(kind)
+    height, width = shape
+    return COEFF_MAGIC + np.array([width, height, block, kind_id], dtype="<u4").tobytes()
 
 
 def emit_coeff_file(plane: CoeffPlane) -> bytes:
-    # the transform id is 1 + the kind's index in KINDS, or 0 for an unknown kind
-    kind_id = 0 if plane.kind is None else 1 + KINDS.index(plane.kind)
-    header = np.array([plane.width, plane.height, plane.block, kind_id], dtype="<u4")
-    return b"".join((COEFF_MAGIC, header, np.ascontiguousarray(plane.values, dtype="<f8")))
+    return _emit(_coeff_header(plane.values.shape, plane.block, plane.kind), plane.values, "<f8")
 
 
-def parse_coeff_file(data: bytes) -> CoeffPlane:
-    if data[:4] not in (b"RFC1", COEFF_MAGIC):
+def _read_coeff_file(f) -> CoeffPlane:
+    head = f.read(20)
+    if head[:4] not in (b"RFC1", COEFF_MAGIC):
         raise ValueError("not a coefficient file (bad magic)")
-    if len(data) < 20:
+    if len(head) < 20:
         raise ValueError("truncated coefficient header")
-    width, height, block, kind_id = np.frombuffer(data, "<u4", 4, 4).tolist()
-    if data[:4] == b"RFC1" and kind_id != 0:
+    width, height, block, kind_id = np.frombuffer(head, "<u4", 4, 4).tolist()
+    if head[:4] == b"RFC1" and kind_id != 0:
         raise ValueError("reserved header field must be zero")
     if kind_id > len(KINDS):
         raise ValueError(f"unknown transform id {kind_id} in coefficient header")
-    values = _payload(data, 20, "<f8", (height, width), "coefficient payload")
-    if not np.isfinite(values).all():
+    values = _read_payload(f, "<f8", (height, width), "coefficient payload")
+    # a NaN propagates through min and max, and an infinity is one of them: no mask is needed
+    if values.size and not np.isfinite([values.min(), values.max()]).all():
         raise ValueError("coefficient payload holds NaN or infinite values")
     return CoeffPlane(values, block=block, kind=KINDS[kind_id - 1] if kind_id else None)
 
 
+def parse_coeff_file(data: bytes) -> CoeffPlane:
+    return _read_coeff_file(io.BytesIO(data))
+
+
 def read_coeff_file(path) -> CoeffPlane:
-    return parse_coeff_file(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        return _read_coeff_file(f)
 
 
 def write_coeff_file(plane: CoeffPlane, path) -> None:
-    Path(path).write_bytes(emit_coeff_file(plane))
+    header = _coeff_header(plane.values.shape, plane.block, plane.kind)
+    with _output(path) as f:
+        _write(f, header, (plane.values,), "<f8")
 
 
 def _block_size(transform) -> int:
@@ -219,18 +285,20 @@ def _block_size(transform) -> int:
     return transform.size
 
 
-def _blockwise_2d(src: np.ndarray, out: np.ndarray, transform, inverse: bool = False,
-                  post=None) -> np.ndarray:
-    """The block transform of src into out (core, then postprocessing, along rows, then columns).
+def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, post=None):
+    """Yield each band of block rows of the block transform of src as soon as it is finished.
 
-    transform is rfst(M), whose cascade is the postprocessing and whose
-    sine core is a dense product below FFT_MIN_SIZE and scipy.fft's
-    orthonormal DST-II from there on, or a plain matrix, whose
-    coefficients get post (None for none).  post(flat, n, lane, step)
-    runs in place on the lanes of RegularityCascade.apply_flat.  src,
-    of any layout and dtype, is only read; out is a C-contiguous
-    float64 plane of its shape.  The inverse runs the adjoint passes in
-    reverse order.  Returns out.
+    The transform is the core, then postprocessing, along rows, then
+    columns.  transform is rfst(M), whose cascade is the postprocessing
+    and whose sine core is a dense product below FFT_MIN_SIZE and
+    scipy.fft's orthonormal DST-II from there on, or a plain matrix,
+    whose coefficients get post (None for none).  post(flat, n, lane,
+    step) runs in place on the lanes of RegularityCascade.apply_flat.
+    src, of any layout and dtype, is only read.  out is a C-contiguous
+    float64 plane of its shape, which the bands fill, or None: then a
+    band is built in a band-sized buffer that the next band reuses, so
+    a consumer takes each band before asking for the next.  The inverse
+    runs the adjoint passes in reverse order.
     """
     m = transform.size
     h, w = src.shape
@@ -240,10 +308,11 @@ def _blockwise_2d(src: np.ndarray, out: np.ndarray, transform, inverse: bool = F
     else:
         mat = transform.entries
         post = post or (lambda *lanes: None)
-    if mat is None:  # bands of one block row, transformed in place on out
+    if mat is None:  # bands of one block row, transformed in place on out or on one buffer
         from scipy.fft import dst, idst  # 62 ms to import (43 of them scipy.special)
 
         rows, scratch = m, None
+        buffer = np.empty((m, w)) if out is None else None
 
         def core(x, y):  # along axis 1; y views x's memory in x's order
             res = (idst if inverse else dst)(x, type=2, axis=1, norm="ortho", overwrite_x=True)
@@ -261,10 +330,15 @@ def _blockwise_2d(src: np.ndarray, out: np.ndarray, transform, inverse: bool = F
     for top in range(0, h, rows):
         r = min(rows, h - top)
         n = r * w // m  # length-M segments per pass in this band
-        band = out[top:top + r]
         # the row pass leaves x segment-major, coefficient k of (n, M) at stride M; the
         # column pass leaves y subband-major, subband k one contiguous row of (M, n)
-        x, y = (band.reshape(-1),) * 2 if scratch is None else scratch[:, :r * w]
+        if scratch is None:
+            band = buffer if out is None else out[top:top + r]
+            x = y = band.reshape(-1)
+        else:
+            x, y = scratch[:, :r * w]
+            # streamed, a band is built in the scratch buffer that its last step frees
+            band = (y if inverse else x).reshape(r, w) if out is None else out[top:top + r]
         blocks = x.reshape(r // m, m, w)
         subbands = y.reshape(m, r // m, w).transpose(1, 0, 2)
         if inverse:
@@ -281,6 +355,13 @@ def _blockwise_2d(src: np.ndarray, out: np.ndarray, transform, inverse: bool = F
             post(y, n, n, 1)
             if scratch is not None:
                 np.copyto(band.reshape(r // m, m, w), subbands)
+        yield band
+
+
+def _fill(bands, out: np.ndarray) -> np.ndarray:
+    """Run a band loop into out, a whole plane, to its end; returns out."""
+    for _ in bands:
+        pass
     return out
 
 
@@ -295,20 +376,56 @@ def _check_divisible(shape, m: int) -> None:
         )
 
 
-def forward_2d(img: GrayImage, transform) -> CoeffPlane:
-    """Blockwise T B T' of an image: row pass, then column pass."""
+def _forward_bands(img: GrayImage, transform, out):
     m = _block_size(transform)
     _check_divisible(img.pixels.shape, m)
-    values = _blockwise_2d(img.pixels, np.empty(img.pixels.shape), transform)
-    return CoeffPlane(values, block=m, kind=transform.kind)
+    return _blockwise_2d(img.pixels, out, transform)
+
+
+def _inverse_bands(coeffs: CoeffPlane, transform, out):
+    m = _block_size(transform)
+    if m != coeffs.block:
+        raise ValueError(f"transform size {m} does not match plane block size {coeffs.block}")
+    return _blockwise_2d(coeffs.values, out, transform, inverse=True)
+
+
+def forward_2d(img: GrayImage, transform) -> CoeffPlane:
+    """Blockwise T B T' of an image: row pass, then column pass."""
+    values = np.empty(img.pixels.shape)
+    _fill(_forward_bands(img, transform, values), values)
+    return CoeffPlane(values, block=transform.size, kind=transform.kind)
 
 
 def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
     """Exact adjoint of forward_2d; returns the real-valued plane, no rounding."""
-    m = _block_size(transform)
-    if m != coeffs.block:
-        raise ValueError(f"transform size {m} does not match plane block size {coeffs.block}")
-    return _blockwise_2d(coeffs.values, np.empty(coeffs.values.shape), transform, inverse=True)
+    plane = np.empty(coeffs.values.shape)
+    return _fill(_inverse_bands(coeffs, transform, plane), plane)
+
+
+def _forward_file(img: GrayImage, transform, path) -> None:
+    """Write forward_2d(img, transform) to path as an RFC file, one band at a time.
+
+    Each band goes to the file while it is in cache; no coefficient
+    plane is held.  If anything fails, no partial file is left.
+    """
+    bands = _forward_bands(img, transform, None)
+    header = _coeff_header(img.pixels.shape, transform.size, transform.kind)
+    with _output(path) as f:
+        _write(f, header, bands, "<f8")
+
+
+def _inverse_file(coeffs: CoeffPlane, transform, path) -> None:
+    """Write inverse_2d(coeffs, transform), rounded and clipped to 8 bits, to path as a PGM.
+
+    Each band is rounded and written while it is in cache, so beside
+    coeffs only band-sized buffers are held.  If anything fails, no
+    partial file is left.
+    """
+    bands = _inverse_bands(coeffs, transform, None)
+    # each band is rounded in place, then converted to uint8 as it is written
+    rounded = (np.clip(np.rint(band, out=band), 0, 255, out=band) for band in bands)
+    with _output(path) as f:
+        _write(f, _pgm_header(coeffs.width, coeffs.height), rounded, np.uint8)
 
 
 def subband_energy(coeffs: CoeffPlane) -> np.ndarray:
@@ -441,7 +558,7 @@ def bench_postprocessing(
         even[...] = out
 
     def run(post, out=work) -> np.ndarray:
-        return _blockwise_2d(plane0, out, fast.core, post=post)
+        return _fill(_blockwise_2d(plane0, out, fast.core, post=post), out)
 
     def timed(post) -> float:
         start = time.perf_counter()

@@ -3,13 +3,26 @@
 import importlib
 import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rfst import cli, imaging, regularity
 from rfst.cli import main
-from rfst.imaging import GrayImage, read_coeff_file, read_pgm, write_pgm
+from rfst.imaging import (
+    BAND_ROWS,
+    FFT_MIN_SIZE,
+    GrayImage,
+    emit_coeff_file,
+    emit_pgm,
+    forward_2d,
+    inverse_2d,
+    read_coeff_file,
+    read_pgm,
+    write_pgm,
+)
 from rfst.rdst import EQUIV_DEFAULT_TOL
 from rfst.regularity import rfst
 from rfst.transforms import dst2
@@ -333,6 +346,96 @@ def test_image_checks_its_input_before_building(tmp_path, capsys, monkeypatch, a
     assert (code, stdout) == (1, "")
     assert err == f"rfst: error: {message.format(path)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows,cols,block", (
+    (2 * BAND_ROWS + 8, 48, 8),  # the dense core, ending in a partial band
+    (2 * FFT_MIN_SIZE, FFT_MIN_SIZE, FFT_MIN_SIZE),  # the FFT core, two block rows
+), ids=("8-bands", "fft"))
+def test_streamed_image_commands_match_the_library(tmp_path, capsys, rows, cols, block):
+    img = GrayImage(np.random.default_rng(52).integers(0, 256, size=(rows, cols), dtype=np.uint8))
+    src, coeff, back = tmp_path / "in.pgm", tmp_path / "c.rfc", tmp_path / "out.pgm"
+    write_pgm(img, src)
+    opts = ("--transform", "rfst", "--block", str(block))
+    assert run(capsys, "image", "forward", *opts, "--in", str(src), "--out", str(coeff))[0] == 0
+    t = rfst(block)
+    plane = forward_2d(img, t)
+    assert coeff.read_bytes() == emit_coeff_file(plane)
+    assert run(capsys, "image", "inverse", *opts, "--in", str(coeff), "--out", str(back))[0] == 0
+    # the whole-plane rounding that image inverse ran before it streamed bands
+    real = inverse_2d(plane, t)
+    pixels = np.clip(np.rint(real, out=real), 0, 255, out=real).astype(np.uint8)
+    assert back.read_bytes() == emit_pgm(GrayImage(pixels)) == src.read_bytes()
+
+
+@pytest.mark.parametrize("where", ("band-loop", "write"))
+def test_failed_image_forward_leaves_no_file(tmp_path, capsys, monkeypatch, where):
+    src, out = tmp_path / "in.pgm", tmp_path / "c.rfc"
+    write_pgm(GrayImage(np.zeros((3 * BAND_ROWS, 16), dtype=np.uint8)), src)
+    if where == "band-loop":
+        blockwise = imaging._blockwise_2d
+
+        def failing(*args, **kwargs):
+            bands = blockwise(*args, **kwargs)
+            yield next(bands)
+            raise OSError("band loop failed")
+
+        monkeypatch.setattr(imaging, "_blockwise_2d", failing)
+    else:
+        write = imaging._write
+
+        def failing(f, header, bands, dtype):
+            write(f, header, [next(iter(bands))], dtype)
+            f.flush()
+            assert out.stat().st_size > 20  # the header and the first band are on disk
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(imaging, "_write", failing)
+    code, stdout, err = run(capsys, "image", "forward", "--transform", "rfst",
+                            "--block", "8", "--in", str(src), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.count("rfst: error:") == 1 and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_image_inverse_refuses_a_pipe(tmp_path, capsys):
+    _, coeff = _forward_rfst_file(tmp_path, capsys)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, coeff.read_bytes())  # 3 KiB fits in the pipe's buffer
+        os.close(write_end)
+        out = tmp_path / "o.pgm"
+        code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst", "--block", "8",
+                                "--in", f"/dev/fd/{read_end}", "--out", str(out))
+    finally:
+        os.close(read_end)
+    assert (code, stdout) == (1, "")
+    assert err == ("rfst: error: cannot read the coefficient payload from a pipe or another "
+                   "input that is not seekable\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("action,planes", (("forward", 0.45), ("inverse", 1.3)))
+def test_image_commands_hold_no_extra_plane(tmp_path, capsys, action, planes):
+    # forward: the uint8 image (1/8 plane) and two band buffers (2 x 64 of 512 rows, 1/4 plane);
+    # inverse: the coefficient plane, the same band buffers and one uint8 band
+    img = GrayImage(np.random.default_rng(53).integers(0, 256, size=(512, 768), dtype=np.uint8))
+    src, coeff, back = tmp_path / "in.pgm", tmp_path / "c.rfc", tmp_path / "out.pgm"
+    write_pgm(img, src)
+    argv = {"forward": ("image", "forward", "--transform", "rfst", "--block", "8",
+                        "--in", str(src), "--out", str(coeff)),
+            "inverse": ("image", "inverse", "--transform", "rfst", "--block", "8",
+                        "--in", str(coeff), "--out", str(back))}
+    for warm in argv.values():  # imports and first-call caches stay outside the trace
+        assert run(capsys, *warm)[0] == 0
+    tracemalloc.start()
+    try:
+        code = main(list(argv[action]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= planes * 8 * img.pixels.size, peak / (8 * img.pixels.size)
 
 
 def test_bench_csv_shape(capsys):

@@ -173,24 +173,48 @@ def test_codecs_accept_non_contiguous_arrays():
     assert emit_coeff_file(fortran) == emit_coeff_file(CoeffPlane(values, block=4))
 
 
-def test_codecs_copy_their_payload_once():
+def test_codecs_copy_their_payload_once(tmp_path):
+    # the readers allocate the payload once; the writers send it from the caller's array
     rng = np.random.default_rng(45)
     plane = CoeffPlane(rng.standard_normal((256, 256)), block=8)
     img = _random_image(rng, 512, 512)
     blob, raster = emit_coeff_file(plane), emit_pgm(img)
-    for codec, arg, payload in (
-        (emit_coeff_file, plane, plane.values.nbytes),
-        (parse_coeff_file, blob, plane.values.nbytes),
-        (emit_pgm, img, img.pixels.nbytes),
-        (parse_pgm, raster, img.pixels.nbytes),
+    coeff_path = tmp_path / "t.rfc"
+    coeff_path.write_bytes(blob)
+    for codec, args, payload, bound in (
+        (emit_coeff_file, (plane,), plane.values.nbytes, 1.25),
+        (parse_coeff_file, (blob,), plane.values.nbytes, 1.25),
+        (read_coeff_file, (coeff_path,), plane.values.nbytes, 1.05),
+        (write_coeff_file, (plane, tmp_path / "w.rfc"), plane.values.nbytes, 0.05),
+        (emit_pgm, (img,), img.pixels.nbytes, 1.25),
+        (parse_pgm, (raster,), img.pixels.nbytes, 1.25),
+        (write_pgm, (img, tmp_path / "w.pgm"), img.pixels.nbytes, 0.05),
     ):
         tracemalloc.start()
         try:
-            codec(arg)
+            codec(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * payload, (codec.__name__, peak / payload)
+        assert peak <= bound * payload, (codec.__name__, peak / payload)
+    assert (tmp_path / "w.rfc").read_bytes() == blob
+    assert (tmp_path / "w.pgm").read_bytes() == raster
+
+
+def test_huge_coefficient_header_fails_before_allocating(tmp_path):
+    # a 20-byte file whose header claims a 65535 x 65535 plane (32 GiB)
+    blob = b"RFC2" + np.array([65535, 65535, 8, 0], dtype="<u4").tobytes()
+    path = tmp_path / "huge.rfc"
+    path.write_bytes(blob)
+    for reader, arg in ((parse_coeff_file, blob), (read_coeff_file, path)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^truncated coefficient payload$"):
+                reader(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (reader.__name__, peak)
 
 
 def _per_block(plane, mat):
