@@ -24,7 +24,9 @@ TRANSFORMS = {
 }
 TRANSFORM_KINDS = {"dct": "DCT2", "dst": "DST2", "ht": "HT", "rfst": "RFST", "rdst": "RDST"}
 TABLE1_SIZES = (2, 4, 8, 16, 32)
-MAX_SIZE = 4096  # the largest size measured: rfst(4096) takes ~2.2 s and ~580 MiB at peak
+# the largest size measured: rfst(4096) builds in ms, but a dense 4096^2 matrix, which
+# --type dct|dst|ht and rfst's dense core on its first read build, takes 2-3 s and ~581 MiB
+MAX_SIZE = 4096
 
 
 class _UsageError(Exception):
@@ -152,7 +154,8 @@ def _cmd_image(args) -> int:
     if args.action == "forward":
         imaging._forward_file(img, transform, args.out)
     else:  # mosaic
-        imaging.write_pgm(imaging.subband_mosaic(imaging.forward_2d(img, transform)), args.out)
+        bands = imaging._forward_bands(img, transform, None)
+        imaging.write_pgm(imaging._mosaic(bands, img.pixels.shape, args.block), args.out)
     return 0
 
 

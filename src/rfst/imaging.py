@@ -3,13 +3,15 @@
 A 2-D block transform maps every M x M block B of a plane to
 P(D B D')P', where D is the sine (or another orthonormal) core and P a
 postprocessing step on each length-M coefficient vector: the reflection
-cascade of a fast regular transform, nothing for a plain orthonormal
-matrix, or the dense half-size matrix in the timing bench.  Each
-transform is a row pass and then a column pass; the inverse runs the
-adjoint passes in reverse order.
+cascade of a fast regular transform, or nothing for a plain orthonormal
+matrix.  Each transform is a row pass and then a column pass; the
+inverse runs the adjoint passes in reverse order.
 
 forward_2d, inverse_2d, the CLI's image commands and the bench share
-one pipeline, in which only the core varies.  Block rows are
+one pipeline, in which only the core varies.  The bench runs rfst(M)
+on the cores the library ships; the one thing it changes is rfst's
+postprocessing slot, where the dense half-size matrix replaces the
+cascade.  Block rows are
 independent, so it runs the whole 2-D transform one cache-sized band of
 block rows at a time into one output plane, and only reads its input.
 The row pass leaves a band segment-major, (n, M), so its cascade is one
@@ -32,6 +34,7 @@ commands stream: `rfst image forward` writes every band to the RFC file
 from one band-sized buffer and holds no coefficient plane, and `rfst
 image inverse` reads the file into one plane (readinto, after a size
 check) and rounds and writes every band to the PGM while it is in cache.
+`rfst image mosaic` regroups every band into the one mosaic plane.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rdst import _half_block
+from .rdst import half_postprocessing_matrix
 from .regularity import FastRegularTransform, rfst
 from .transforms import KINDS, OrthonormalTransform, _check_size
 
@@ -289,11 +292,12 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, post=N
     """Yield each band of block rows of the block transform of src as soon as it is finished.
 
     The transform is the core, then postprocessing, along rows, then
-    columns.  transform is rfst(M), whose cascade is the postprocessing
-    and whose sine core is a dense product below FFT_MIN_SIZE and
-    scipy.fft's orthonormal DST-II from there on, or a plain matrix,
-    whose coefficients get post (None for none).  post(flat, n, lane,
-    step) runs in place on the lanes of RegularityCascade.apply_flat.
+    columns.  transform is rfst(M), whose sine core is a dense product
+    below FFT_MIN_SIZE and scipy.fft's orthonormal DST-II from there on,
+    or a plain matrix, which gets no postprocessing.  rfst's
+    postprocessing is its cascade, or post if given: post(flat, n, lane,
+    step) runs in place on the lanes of RegularityCascade.apply_flat,
+    as the timing bench's dense half-size block does.
     src, of any layout and dtype, is only read.  out is a C-contiguous
     float64 plane of its shape, which the bands fill, or None: then a
     band is built in a band-sized buffer that the next band reuses, so
@@ -303,11 +307,10 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, post=N
     m = transform.size
     h, w = src.shape
     if isinstance(transform, FastRegularTransform):
-        post = functools.partial(transform.cascade.apply_flat, inverse=inverse)
+        post = post or functools.partial(transform.cascade.apply_flat, inverse=inverse)
         mat = None if m >= FFT_MIN_SIZE else transform.core.entries
     else:
-        mat = transform.entries
-        post = post or (lambda *lanes: None)
+        mat, post = transform.entries, lambda *lanes: None
     if mat is None:  # bands of one block row, transformed in place on out or on one buffer
         from scipy.fft import dst, idst  # 62 ms to import (43 of them scipy.special)
 
@@ -444,11 +447,23 @@ def subband_mosaic(coeffs: CoeffPlane) -> GrayImage:
     255 * log(1 + |c|) / log(1 + max |c|), to keep small subbands
     visible next to the DC tile.
     """
-    m = coeffs.block
-    h, w = coeffs.values.shape
-    blocks = coeffs.values.reshape(h // m, m, w // m, m)
-    # the regrouped copy is the one plane this function holds; the rest runs in place
-    mosaic = np.abs(blocks.transpose(1, 0, 3, 2), out=np.empty((m, h // m, m, w // m)))
+    return _mosaic((coeffs.values,), coeffs.values.shape, coeffs.block)
+
+
+def _mosaic(bands, shape, m: int) -> GrayImage:
+    """subband_mosaic of a plane of the given shape, given as bands of whole block rows in order.
+
+    Each band is regrouped into the mosaic plane as it comes, so a band
+    loop's reused buffer may hold it.
+    """
+    h, w = shape
+    # the regrouped plane is the one float plane this function holds; the rest runs in place
+    mosaic = np.empty((m, h // m, m, w // m))
+    top = 0
+    for band in bands:
+        blocks = band.reshape(-1, m, w // m, m)
+        np.abs(blocks.transpose(1, 0, 3, 2), out=mosaic[:, top:top + len(blocks)])
+        top += len(blocks)
     mosaic = mosaic.reshape(h, w)
     peak = mosaic.max()
     if peak > 0:
@@ -519,10 +534,10 @@ def bench_postprocessing(
 ) -> BenchReport:
     """Median wall time of the two postprocessing styles on one seeded image.
 
-    Both variants run forward_2d's pipeline with the dense sine core at
-    every m (forward_2d itself switches to an FFT core from
-    FFT_MIN_SIZE on); one streams the reflection cascade, the other
-    multiplies the even coefficients by the dense half-size matrix, on
+    Both variants run forward_2d's pipeline on rfst(m), with the core
+    it ships at m: a dense product below FFT_MIN_SIZE and the FFT from
+    there on.  One streams rfst's own reflection cascade; in the other
+    the dense half-size matrix on the even coefficients replaces it, on
     the same two layouts: the segment-major rows of the row pass and
     the subband-major rows of the column pass.  Every loaded OpenBLAS
     is held at one thread for the timed region, and blas_pinning
@@ -538,7 +553,7 @@ def bench_postprocessing(
     rng = np.random.default_rng(seed)
     img = GrayImage(rng.integers(0, 256, size=(image_size, image_size), dtype=np.uint8))
     fast = rfst(m)
-    pp = _half_block(fast.cascade)
+    pp = half_postprocessing_matrix(m)
 
     # the integer-to-float conversion is identical for both styles, so it
     # stays outside the timed region
@@ -546,7 +561,7 @@ def bench_postprocessing(
     work = np.empty_like(plane0)
     band_rows = min(max(BAND_ROWS, m), image_size)
     half = np.empty(band_rows * image_size // 2)
-    cascade_post = fast.cascade.apply_flat
+    cascade_post = None  # rfst's own cascade
 
     def dense_post(flat, n, lane, step):
         if step == 1:  # subband-major: coefficient k of every segment is row k of (M, n)
@@ -558,7 +573,7 @@ def bench_postprocessing(
         even[...] = out
 
     def run(post, out=work) -> np.ndarray:
-        return _fill(_blockwise_2d(plane0, out, fast.core, post=post), out)
+        return _fill(_blockwise_2d(plane0, out, fast, post=post), out)
 
     def timed(post) -> float:
         start = time.perf_counter()

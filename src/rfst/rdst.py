@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .regularity import RegularityCascade, rfst
+from .regularity import rfst
 from .transforms import OrthonormalTransform, _check_size
 
 NULL_SV_RTOL = 1e-10
@@ -154,12 +154,9 @@ def half_postprocessing_matrix(m: int) -> np.ndarray:
 
     The cascade never touches an odd coefficient, so its densified form
     is the identity on odd indices and this block on even indices.
+    Requires m >= 4.
     """
-    return _half_block(rfst(m).cascade)
-
-
-def _half_block(cascade: RegularityCascade) -> np.ndarray:
-    """Even-index block of a densified cascade of size >= 4."""
+    cascade = rfst(m).cascade
     if cascade.target_size < 4:
         raise ValueError("half-size postprocessing requires size >= 4")
     return np.ascontiguousarray(cascade.as_matrix()[0::2, 0::2])

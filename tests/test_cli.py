@@ -21,6 +21,7 @@ from rfst.imaging import (
     inverse_2d,
     read_coeff_file,
     read_pgm,
+    subband_mosaic,
     write_pgm,
 )
 from rfst.rdst import EQUIV_DEFAULT_TOL
@@ -366,6 +367,8 @@ def test_streamed_image_commands_match_the_library(tmp_path, capsys, rows, cols,
     real = inverse_2d(plane, t)
     pixels = np.clip(np.rint(real, out=real), 0, 255, out=real).astype(np.uint8)
     assert back.read_bytes() == emit_pgm(GrayImage(pixels)) == src.read_bytes()
+    assert run(capsys, "image", "mosaic", *opts, "--in", str(src), "--out", str(back))[0] == 0
+    assert back.read_bytes() == emit_pgm(subband_mosaic(plane))
 
 
 @pytest.mark.parametrize("where", ("band-loop", "write"))
@@ -415,17 +418,20 @@ def test_image_inverse_refuses_a_pipe(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("action,planes", (("forward", 0.45), ("inverse", 1.3)))
+@pytest.mark.parametrize("action,planes", (("forward", 0.45), ("inverse", 1.3), ("mosaic", 1.6)))
 def test_image_commands_hold_no_extra_plane(tmp_path, capsys, action, planes):
     # forward: the uint8 image (1/8 plane) and two band buffers (2 x 64 of 512 rows, 1/4 plane);
-    # inverse: the coefficient plane, the same band buffers and one uint8 band
+    # inverse: the coefficient plane, the same band buffers and one uint8 band;
+    # mosaic: the uint8 image, the band buffers, the mosaic plane and its uint8 copy
     img = GrayImage(np.random.default_rng(53).integers(0, 256, size=(512, 768), dtype=np.uint8))
     src, coeff, back = tmp_path / "in.pgm", tmp_path / "c.rfc", tmp_path / "out.pgm"
     write_pgm(img, src)
     argv = {"forward": ("image", "forward", "--transform", "rfst", "--block", "8",
                         "--in", str(src), "--out", str(coeff)),
             "inverse": ("image", "inverse", "--transform", "rfst", "--block", "8",
-                        "--in", str(coeff), "--out", str(back))}
+                        "--in", str(coeff), "--out", str(back)),
+            "mosaic": ("image", "mosaic", "--transform", "rfst", "--block", "8",
+                       "--in", str(src), "--out", str(back))}
     for warm in argv.values():  # imports and first-call caches stay outside the trace
         assert run(capsys, *warm)[0] == 0
     tracemalloc.start()

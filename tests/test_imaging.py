@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfst import imaging
+from rfst import imaging, regularity
 from rfst.imaging import (
     BAND_ROWS,
     FFT_MIN_SIZE,
@@ -461,6 +461,36 @@ def test_bench_reports_its_band_height(m, image_size, band_rows):
     report = bench_postprocessing(m, image_size=image_size, repeats=1, seed=6)
     assert report.band_rows == band_rows
     assert report.max_abs_diff <= 1e-10
+
+
+@pytest.mark.parametrize("m", (8, FFT_MIN_SIZE))
+def test_post_replaces_only_the_rfst_cascade(m):
+    # a post that records its lanes and does nothing leaves rfst(m) the plain sine transform;
+    # a plain matrix never calls it
+    img = _random_image(np.random.default_rng(54), m, 2 * m)
+    lanes = []
+
+    def record(flat, n, lane, step):
+        lanes.append((n, lane, step))
+
+    for t, calls in ((rfst(m), [(2 * m, 1, m), (2 * m, 2 * m, 1)]), (dst2(m), [])):
+        lanes.clear()
+        out = np.empty(img.pixels.shape)
+        for _ in imaging._blockwise_2d(img.pixels, out, t, post=record):
+            pass
+        assert lanes == calls
+        np.testing.assert_allclose(out, forward_2d(img, dst2(m)).values, rtol=0, atol=1e-8)
+
+
+def test_bench_runs_the_fft_core_from_fft_min_size(monkeypatch):
+    # from FFT_MIN_SIZE on, forward_2d never builds the dense sine core, and neither does the bench
+    def no_dense_core(m):
+        pytest.fail(f"the dense sine core dst2({m}) was built")
+
+    monkeypatch.setattr(regularity, "dst2", no_dense_core)
+    report = bench_postprocessing(FFT_MIN_SIZE, FFT_MIN_SIZE, 1)
+    assert report.band_rows == FFT_MIN_SIZE
+    assert report.max_abs_diff <= 1e-9
 
 
 def test_bench_validates_input():
