@@ -20,14 +20,15 @@ leaves it subband-major, (M, n) with one contiguous row per subband, so
 its cascade is one dscal + drot per reflection
 (RegularityCascade.apply_flat's lanes).
 
-Below FFT_MIN_SIZE, and for every plain matrix, the core is a dense
-product, and a band of BAND_ROWS rows (or M) runs through two scratch
-buffers and is copied into block layout in the output plane.  From
-FFT_MIN_SIZE on, rfst's sine core is scipy.fft's orthonormal DST-II,
-O(M log M) per segment against the dense product's O(M^2); a band is
-one block row, whose two layouts coincide, transformed in place on the
-output plane.  Both constants were measured once and are fixed;
-scipy.fft is imported only on the FFT path.
+The transform runs its own core (its _along method), and its in_place
+flag sets the band layout.  When the core writes to a separate array,
+as the dense product of every plain matrix and of rfst below
+regularity.FFT_MIN_SIZE does, a band of BAND_ROWS rows (or M) runs
+through two scratch buffers and is copied into block layout in the
+output plane.  When it runs in place, as rfst's FFT core does from
+FFT_MIN_SIZE on, a band is one block row, whose two layouts coincide,
+transformed in place on the output plane.  BAND_ROWS was measured once
+and is fixed.
 
 The loop yields each band as it is finished, so the CLI's image
 commands stream: `rfst image forward` writes every band to the RFC file
@@ -53,16 +54,6 @@ from .regularity import FastRegularTransform, rfst
 from .transforms import KINDS, OrthonormalTransform, _check_size
 
 COEFF_MAGIC = b"RFC2"  # RFC1 files, whose last header word is zero, are still read
-
-# Block size from which forward_2d/inverse_2d run rfst's sine core as an FFT
-# (scipy.fft's DST-II) instead of a dense product.  Medians of 4 runs of 11
-# calls on a 2048^2 plane, forward/inverse ms, one BLAS thread on a shared
-# 2-core x86-64 host, numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31:
-#   M        32      64     128     256     512    1024
-#   dense   45/45   61/62   88/84 141/143 224/226 398/406
-#   FFT     76/75   81/77  100/97 109/109 108/114 128/133
-# From 256 on the FFT wins by 23% or more both ways; at 128 the dense core wins.
-FFT_MIN_SIZE = 256
 
 # Rows per band of the dense core, or M if larger: rows, not bytes, so outputs
 # do not depend on the machine; at 64 rows of 2048 columns the two scratch
@@ -214,13 +205,15 @@ def parse_pgm(data: bytes) -> GrayImage:
 
     if next_token() != b"P5":
         raise ValueError("not a binary PGM (missing P5 magic)")
-    width = int(next_token())
-    height = int(next_token())
-    maxval = int(next_token())
+    tokens = {field: next_token() for field in ("width", "height", "maxval")}
+    width, height, maxval = (int(token) for token in tokens.values())
     if width <= 0 or height <= 0:
         raise ValueError("bad PGM dimensions")
     if not 0 < maxval <= 255:
         raise ValueError(f"unsupported PGM maxval {maxval} (8-bit only)")
+    for field, token in tokens.items():  # int() also reads "+4" and "1_0"
+        if not token.isdigit():
+            raise ValueError(f"PGM {field} {token.decode()!r} is not a decimal number")
     raster = io.BytesIO(data)
     raster.seek(pos + 1)  # single whitespace byte separating header from raster
     pixels = _read_payload(raster, np.uint8, (height, width), "PGM raster")
@@ -292,9 +285,9 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, post=N
     """Yield each band of block rows of the block transform of src as soon as it is finished.
 
     The transform is the core, then postprocessing, along rows, then
-    columns.  transform is rfst(M), whose sine core is a dense product
-    below FFT_MIN_SIZE and scipy.fft's orthonormal DST-II from there on,
-    or a plain matrix, which gets no postprocessing.  rfst's
+    columns.  transform is rfst(M) or a plain matrix, which gets no
+    postprocessing; either runs its core through its _along method,
+    and its in_place flag picks the band layout.  rfst's
     postprocessing is its cascade, or post if given: post(flat, n, lane,
     step) runs in place on the lanes of RegularityCascade.apply_flat,
     as the timing bench's dense half-size block does.
@@ -308,27 +301,15 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, post=N
     h, w = src.shape
     if isinstance(transform, FastRegularTransform):
         post = post or functools.partial(transform.cascade.apply_flat, inverse=inverse)
-        mat = None if m >= FFT_MIN_SIZE else transform.core.entries
     else:
-        mat, post = transform.entries, lambda *lanes: None
-    if mat is None:  # bands of one block row, transformed in place on out or on one buffer
-        from scipy.fft import dst, idst  # 62 ms to import (43 of them scipy.special)
-
+        post = lambda *lanes: None
+    core = functools.partial(transform._along, inverse=inverse)
+    if transform.in_place:  # bands of one block row, transformed in place on out or on one buffer
         rows, scratch = m, None
         buffer = np.empty((m, w)) if out is None else None
-
-        def core(x, y):  # along axis 1; y views x's memory in x's order
-            res = (idst if inverse else dst)(x, type=2, axis=1, norm="ortho", overwrite_x=True)
-            # scipy.fft writes an overwritable float64 input in place; copy back if it did not
-            if res.ctypes.data != x.ctypes.data or res.strides != x.strides:
-                np.copyto(x, res)
     else:  # bands of max(BAND_ROWS, M) rows through two band-sized scratch buffers
         rows = max(BAND_ROWS, m)
         scratch = np.empty((2, min(rows, h) * w))
-        mat = mat.T if inverse else mat
-
-        def core(x, y):  # mat along axis 1 of (segments, M) or (block rows, M, W)
-            np.matmul(x, mat.T, out=y) if x.ndim == 2 else np.matmul(mat, x, out=y)
 
     for top in range(0, h, rows):
         r = min(rows, h - top)
@@ -535,16 +516,16 @@ def bench_postprocessing(
     """Median wall time of the two postprocessing styles on one seeded image.
 
     Both variants run forward_2d's pipeline on rfst(m), with the core
-    it ships at m: a dense product below FFT_MIN_SIZE and the FFT from
-    there on.  One streams rfst's own reflection cascade; in the other
-    the dense half-size matrix on the even coefficients replaces it, on
-    the same two layouts: the segment-major rows of the row pass and
-    the subband-major rows of the column pass.  Every loaded OpenBLAS
-    is held at one thread for the timed region, and blas_pinning
-    records how (or "unpinned"); band_rows is the band height the
-    pipeline ran.  Reports the medians, their difference, and the max
-    absolute discrepancy between the two coefficient planes.
-    repeats >= 1; image_size a positive multiple of m.
+    it ships at m: a dense product below regularity.FFT_MIN_SIZE and
+    the FFT from there on.  One streams rfst's own reflection cascade;
+    in the other the dense half-size matrix on the even coefficients
+    replaces it, on the same two layouts: the segment-major rows of the
+    row pass and the subband-major rows of the column pass.  Every
+    loaded OpenBLAS is held at one thread for the timed region, and
+    blas_pinning records how (or "unpinned"); band_rows is the band
+    height the pipeline ran.  Reports the medians, their difference,
+    and the max absolute discrepancy between the two coefficient
+    planes.  repeats >= 1; image_size a positive multiple of m.
     """
     _check_size(m)
     if repeats < 1:

@@ -10,6 +10,14 @@ only leaks into even-indexed subbands, M/2 - 1 reflections on index
 pairs (0, 2k) suffice, and appending them after the transform yields an
 operator that is orthonormal, regular, and only marginally more
 expensive than the plain transform.
+
+This module also owns how rfst's sine core runs.  Below FFT_MIN_SIZE it
+is the dense M x M product; from FFT_MIN_SIZE on it is scipy.fft's
+orthonormal DST-II, O(M log M) per vector against the dense product's
+O(M^2), run in place, and the dense matrix is never built.  forward(),
+inverse() and the 2-D pipeline all run it through
+FastRegularTransform._along; scipy.fft is imported on the FFT path
+only.
 """
 
 from __future__ import annotations
@@ -31,6 +39,16 @@ from .transforms import (
 )
 
 OP_COUNT_STYLES = ("cascade", "dense_half")
+
+# Block size from which rfst's sine core runs as an FFT (scipy.fft's DST-II)
+# instead of a dense product.  Medians of 4 runs of 11 forward_2d/inverse_2d
+# calls on a 2048^2 plane, forward/inverse ms, one BLAS thread on a shared
+# 2-core x86-64 host, numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31:
+#   M        32      64     128     256     512    1024
+#   dense   45/45   61/62   88/84 141/143 224/226 398/406
+#   FFT     76/75   81/77  100/97 109/109 108/114 128/133
+# From 256 on the FFT wins by 23% or more both ways; at 128 the dense core wins.
+FFT_MIN_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -106,6 +124,8 @@ class RegularityCascade:
         512^2 plane) but 1.7x faster at stride 1024 (28 against 49 ms
         for rfst(1024) on a 2048^2 plane).
         """
+        if n == 0:  # BLAS rejects any offset into an empty lane
+            return
         order = reversed(self._terms) if inverse else self._terms
         for i, j, c, s, param in order:
             x, y = i * lane, j * lane
@@ -151,10 +171,12 @@ class FastRegularTransform:
 
     forward() maps the constant input to [sqrt(M), 0, ..., 0]; the extra
     cost over the plain transform is 4(M/2 - 1) multiplications and
-    2(M/2 - 1) additions per vector.  Only the cascade is stored; the
-    dense M x M sine core is built on its first read, so a caller that
-    never reads it (an FFT-core pipeline, the cascade CSV, the op
-    counts) never pays for it.  Immutable and safe to share.
+    2(M/2 - 1) additions per vector.  Only the cascade is stored.  The
+    sine core runs as _along says: the dense M x M core below
+    FFT_MIN_SIZE, built on its first read, and the FFT from there on,
+    where forward(), inverse() and the 2-D pipeline never build it; the
+    cascade CSV and the op counts never read it either.  Immutable and
+    safe to share.
     """
 
     cascade: RegularityCascade
@@ -164,22 +186,53 @@ class FastRegularTransform:
     def size(self) -> int:
         return self.cascade.target_size
 
+    @property
+    def in_place(self) -> bool:
+        """Whether _along writes its output over its input: the FFT core, from FFT_MIN_SIZE on."""
+        return self.size >= FFT_MIN_SIZE
+
     @cached_property
     def core(self) -> OrthonormalTransform:
         """The dense type-II sine transform, built and Gram-checked on first read."""
         return dst2(self.size)
 
+    def _along(self, x: np.ndarray, y: np.ndarray, inverse: bool = False) -> None:
+        """The sine core along axis 1 of x, shaped (n, M) or (a, M, b), written to y.
+
+        Below FFT_MIN_SIZE this is the dense core's product.  From there
+        on it is scipy.fft's orthonormal DST-II, run in place on x, so y
+        must view x's memory in x's order.
+        """
+        if not self.in_place:
+            return self.core._along(x, y, inverse)
+        from scipy.fft import dst, idst  # 62 ms to import (43 of them scipy.special)
+
+        res = (idst if inverse else dst)(x, type=2, axis=1, norm="ortho", overwrite_x=True)
+        # scipy.fft writes an overwritable float64 input in place; copy back if it did not
+        if res.ctypes.data != x.ctypes.data or res.strides != x.strides:
+            np.copyto(x, res)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Core transform then cascade; columns of a 2-D input are independent."""
-        return self.cascade.apply(self.core.apply(x))
+        return self._transform(x)
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
-        """Exact inverse: reflections undone in reverse order, then the core transpose."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape[0] != self.size:
-            raise ValueError(f"expected leading dimension {self.size}, got {y.shape[0]}")
-        y = self.cascade.apply(y.copy(), inverse=True)
-        return self.core.entries.T @ y
+        """Exact inverse: reflections undone in reverse order, then the core's transpose."""
+        return self._transform(y, inverse=True)
+
+    def _transform(self, x, inverse: bool = False) -> np.ndarray:
+        """forward() or inverse() of a vector or an (M, k) block, on a float64 copy of it."""
+        x = np.array(x, dtype=np.float64, order="C")
+        if x.ndim not in (1, 2):
+            raise ValueError(f"expected a vector or a 2-D block, got {x.ndim} dimensions")
+        if x.shape[0] != self.size:
+            raise ValueError(f"expected leading dimension {self.size}, got {x.shape[0]}")
+        if inverse:
+            self.cascade.apply(x, inverse=True)
+        y = x if self.in_place else np.empty_like(x)
+        columns = (1, self.size, x.size // self.size)  # -1 cannot size an empty block
+        self._along(x.reshape(columns), y.reshape(columns), inverse)
+        return y if inverse else self.cascade.apply(y)
 
     def as_matrix(self) -> OrthonormalTransform:
         """Densified operator, tagged RFST; built and Gram-checked once per instance."""

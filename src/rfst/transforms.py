@@ -49,6 +49,7 @@ class OrthonormalTransform:
 
     entries: np.ndarray
     kind: str = "CUSTOM"
+    in_place = False  # not a field: _along writes to a separate array
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=np.float64, copy=True)
@@ -70,11 +71,23 @@ class OrthonormalTransform:
         return self.entries.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Transform a vector, or each column of a 2-D array."""
+        """Transform a vector, or each column of a 2-D array.
+
+        No pipeline of the package runs this; it stays as the dense core
+        product that the benchmark's per-layer trace times (t.core.apply).
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != self.size:
             raise ValueError(f"expected leading dimension {self.size}, got {x.shape[0]}")
         return self.entries @ x
+
+    def _along(self, x: np.ndarray, y: np.ndarray, inverse: bool = False) -> None:
+        """The matrix along axis 1 of x, shaped (n, M) or (a, M, b), written to y.
+
+        The inverse applies the transpose.
+        """
+        mat = self.entries.T if inverse else self.entries
+        np.matmul(x, mat.T, out=y) if x.ndim == 2 else np.matmul(mat, x, out=y)
 
     def orthonormality_residual(self) -> float:
         """max |T T' - I|, with I subtracted in place so no M x M identity is formed."""

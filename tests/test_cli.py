@@ -13,7 +13,6 @@ from rfst import cli, imaging, regularity
 from rfst.cli import main
 from rfst.imaging import (
     BAND_ROWS,
-    FFT_MIN_SIZE,
     GrayImage,
     emit_coeff_file,
     emit_pgm,
@@ -25,7 +24,7 @@ from rfst.imaging import (
     write_pgm,
 )
 from rfst.rdst import EQUIV_DEFAULT_TOL
-from rfst.regularity import rfst
+from rfst.regularity import FFT_MIN_SIZE, rfst
 from rfst.transforms import dst2
 
 

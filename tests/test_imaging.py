@@ -11,7 +11,6 @@ import pytest
 from rfst import imaging, regularity
 from rfst.imaging import (
     BAND_ROWS,
-    FFT_MIN_SIZE,
     CoeffPlane,
     GrayImage,
     bench_postprocessing,
@@ -28,7 +27,7 @@ from rfst.imaging import (
     write_coeff_file,
     write_pgm,
 )
-from rfst.regularity import rfst
+from rfst.regularity import FFT_MIN_SIZE, rfst
 from rfst.transforms import KINDS, dct2, dst2, hadamard
 
 
@@ -90,6 +89,11 @@ def test_pgm_rejects_bad_inputs():
         parse_pgm(b"P5\n2 2\n255\n" + bytes(5))
     with pytest.raises(ValueError, match="exceeds maxval"):
         parse_pgm(b"P5\n2 2\n15\n" + bytes([0, 15, 16, 3]))
+    # int() reads these as 10 and 4; a header number is ASCII decimal digits only
+    with pytest.raises(ValueError, match="width"):
+        parse_pgm(b"P5\n1_0 1\n255\n" + bytes(10))
+    with pytest.raises(ValueError, match="height"):
+        parse_pgm(b"P5\n2 +4\n255\n" + bytes(8))
     assert parse_pgm(b"P5\n2 2\n15\n" + bytes([0, 15, 15, 3])).pixels.max() == 15
 
 
@@ -287,8 +291,9 @@ def test_fft_and_dense_cores_agree_at_large_blocks(monkeypatch):
     t = rfst(1024)
     fft_coeffs = forward_2d(img, t)
     fft_plane = inverse_2d(fft_coeffs, t)
-    monkeypatch.setattr(imaging, "FFT_MIN_SIZE", 2 * t.size)
+    monkeypatch.setattr(regularity, "FFT_MIN_SIZE", 2 * t.size)
     dense_coeffs = forward_2d(img, t)
+    assert not np.array_equal(fft_coeffs.values, dense_coeffs.values)  # the patch took effect
     assert np.abs(fft_coeffs.values - dense_coeffs.values).max() <= 1e-9
     assert np.abs(fft_plane - inverse_2d(dense_coeffs, t)).max() <= 1e-9
     assert np.abs(fft_plane - img.pixels).max() <= 1e-9
@@ -330,12 +335,15 @@ def test_outputs_do_not_depend_on_band_height(monkeypatch, maker, m):
 @pytest.mark.parametrize("m", (8, FFT_MIN_SIZE))
 def test_scipy_fft_is_imported_by_the_fft_core_alone(m):
     src = str(Path(imaging.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np; import rfst, rfst.cli; "
-            f"t = rfst.rfst({m}); img = rfst.GrayImage(np.zeros((2 * {m}, {m}), np.uint8)); "
-            "rfst.inverse_2d(rfst.forward_2d(img, t), t); print('scipy.fft' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, timeout=60)
-    assert done.stdout.strip() == str(m >= FFT_MIN_SIZE)
+    for calls in (f"img = rfst.GrayImage(np.zeros((2 * {m}, {m}), np.uint8)); "
+                "rfst.inverse_2d(rfst.forward_2d(img, t), t)",
+                f"t.inverse(t.forward(np.ones({m})))"):
+        code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np; "
+                f"import rfst, rfst.cli; t = rfst.rfst({m}); {calls}; "
+                "print('scipy.fft' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=60)
+        assert done.stdout.strip() == str(m >= FFT_MIN_SIZE), calls
 
 
 # (M, block rows, block columns, bound): the dense core at the codec block size

@@ -9,6 +9,7 @@ from rfst import regularity
 from rfst.imaging import BAND_ROWS, GrayImage, forward_2d, inverse_2d
 from rfst.opcount import measure_cascade_ops, measure_half_postprocessing_ops
 from rfst.regularity import (
+    FFT_MIN_SIZE,
     RegularityCascade,
     _cascade,
     emit_cascade_csv,
@@ -108,6 +109,9 @@ def test_cascade_apply_matches_dense_and_inverts():
     out = cas.apply(cols.copy())
     assert np.abs(out - dense @ cols).max() <= 1e-13
     assert np.abs(cas.apply(out, inverse=True) - cols).max() <= 1e-13
+    # an empty block of columns comes back as it went in, both ways
+    empty = np.ones((16, 0))
+    assert cas.apply(empty) is empty and cas.apply(empty, inverse=True) is empty
 
 
 @pytest.mark.parametrize("m", (8, 32))
@@ -214,19 +218,35 @@ def test_cascade_validates_reflection_range():
         RegularityCascade((GivensReflection(0, 8, 0.1),), 8)
 
 
-def test_fast_transform_round_trip_and_regularity():
+@pytest.mark.parametrize("m", (8, FFT_MIN_SIZE, 4096))
+def test_fast_transform_round_trip_and_regularity(m, monkeypatch):
     rng = np.random.default_rng(7)
-    t = rfst(8)
-    x = rng.standard_normal((8, 5))
-    y = t.forward(x)
-    assert np.abs(t.inverse(y) - x).max() <= 1e-13
-    ones = t.forward(np.ones(8))
-    assert abs(ones[0] - math.sqrt(8)) <= 1e-13
+    t = rfst(m)
+    if m >= FFT_MIN_SIZE:  # forward() and inverse() run the FFT core, never the dense one
+        def no_dst2(size):
+            raise AssertionError("forward() or inverse() built the dense sine transform")
+
+        monkeypatch.setattr(regularity, "dst2", no_dst2)
+    for shape in ((m,), (m, 5)):
+        x = rng.standard_normal(shape)
+        y = t.forward(x)
+        assert y.shape == shape
+        assert np.abs(t.inverse(y) - x).max() <= 1e-13
+    ones = t.forward(np.ones(m))
+    # the lead carries the roundings of M/2 - 1 reflections, so it is bounded relative to
+    # sqrt(M): 2.6e-15 at M = 4096 (1.6e-13 absolute), as on the dense core (1.8e-13)
+    assert abs(ones[0] / math.sqrt(m) - 1) <= 1e-14
     assert np.abs(ones[1:]).max() <= 1e-13
-    with pytest.raises(ValueError):
-        t.forward(np.ones(5))
-    with pytest.raises(ValueError):
-        t.inverse(np.ones(5))
+    assert t.forward(np.ones((m, 0))).shape == t.inverse(np.ones((m, 0))).shape == (m, 0)
+    for bad in (np.ones(5), np.float64(1.0), np.ones((m, 2, 3))):
+        with pytest.raises(ValueError):
+            t.forward(bad)
+        with pytest.raises(ValueError):
+            t.inverse(bad)
+    if m == FFT_MIN_SIZE:
+        monkeypatch.undo()
+        x = rng.standard_normal(m)
+        assert np.abs(t.forward(x) - t.as_matrix().entries @ x).max() <= 1e-12
 
 
 def test_as_matrix_densifies_once():
