@@ -8,24 +8,24 @@ matrix.  Each transform is a row pass and then a column pass; the
 inverse runs the adjoint passes in reverse order.
 
 forward_2d, inverse_2d, the CLI's image commands and the bench share
-one pipeline, in which only the core varies.  The bench runs rfst(M)
-on the cores the library ships; the one thing it changes is rfst's
-postprocessing slot, where the dense half-size matrix replaces the
-cascade.  Block rows are
-independent, so it runs the whole 2-D transform one cache-sized band of
-block rows at a time into one output plane, and only reads its input.
-The row pass leaves a band segment-major, (n, M), so its cascade is one
-BLAS drotm per reflection on the stride-M columns; the column pass
-leaves it subband-major, (M, n) with one contiguous row per subband, so
-its cascade is one dscal + drot per reflection
-(RegularityCascade.apply_flat's lanes).
+one pipeline.  The bench runs it on rfst(M), with the core the library
+ships, and on the same transform with rdst.DenseHalf, the dense
+half-size matrix, as its postprocessing in the cascade's place.  Block
+rows are independent, so the pipeline runs the whole 2-D transform one
+cache-sized band of block rows at a time into one output plane, and
+only reads its input.  The row pass leaves a band segment-major,
+(n, M), and hands the postprocessing its F-ordered (M, n) transpose,
+on which the cascade is one BLAS drotm per reflection along the
+stride-M columns; the column pass leaves it subband-major, a C-ordered
+(M, n) with one contiguous row per subband, on which the cascade is
+one dscal + drot per reflection (RegularityCascade.apply).
 
 The transform runs its own core (its _along method), and its in_place
-flag sets the band layout.  When the core writes to a separate array,
-as the dense product of every plain matrix and of rfst below
-regularity.FFT_MIN_SIZE does, a band of BAND_ROWS rows (or M) runs
-through two scratch buffers and is copied into block layout in the
-output plane.  When it runs in place, as rfst's FFT core does from
+flag sets the band layout, through _band_rows.  When the core writes
+to a separate array, as the dense product of every plain matrix and of
+rfst below regularity.FFT_MIN_SIZE does, a band of BAND_ROWS rows (or
+M) runs through two scratch buffers and is copied into block layout in
+the output plane.  When it runs in place, as rfst's FFT core does from
 FFT_MIN_SIZE on, a band is one block row, whose two layouts coincide,
 transformed in place on the output plane.  BAND_ROWS was measured once
 and is fixed.
@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rdst import half_postprocessing_matrix
+from .rdst import DenseHalf, half_postprocessing_matrix
 from .regularity import FastRegularTransform, rfst
 from .transforms import KINDS, OrthonormalTransform, _check_size
 
@@ -281,16 +281,22 @@ def _block_size(transform) -> int:
     return transform.size
 
 
-def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, post=None):
+def _band_rows(transform) -> int:
+    """Rows per band: one block row when the core runs in place, else max(BAND_ROWS, M)."""
+    return transform.size if transform.in_place else max(BAND_ROWS, transform.size)
+
+
+def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False):
     """Yield each band of block rows of the block transform of src as soon as it is finished.
 
     The transform is the core, then postprocessing, along rows, then
-    columns.  transform is rfst(M) or a plain matrix, which gets no
-    postprocessing; either runs its core through its _along method,
-    and its in_place flag picks the band layout.  rfst's
-    postprocessing is its cascade, or post if given: post(flat, n, lane,
-    step) runs in place on the lanes of RegularityCascade.apply_flat,
-    as the timing bench's dense half-size block does.
+    columns.  transform is a FastRegularTransform, whose postprocessing
+    is its cascade (the reflections of rfst(M), or rdst.DenseHalf), or
+    a plain matrix, which gets none; either runs its core through its
+    _along method, and its in_place flag picks the band layout.  The
+    postprocessing's apply runs in place on an (M, n) view of the
+    band's n segments: F-ordered after the row pass, C-ordered after
+    the column pass.
     src, of any layout and dtype, is only read.  out is a C-contiguous
     float64 plane of its shape, which the bands fill, or None: then a
     band is built in a band-sized buffer that the next band reuses, so
@@ -300,15 +306,15 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, post=N
     m = transform.size
     h, w = src.shape
     if isinstance(transform, FastRegularTransform):
-        post = post or functools.partial(transform.cascade.apply_flat, inverse=inverse)
+        post = functools.partial(transform.cascade.apply, inverse=inverse)
     else:
-        post = lambda *lanes: None
+        post = lambda v: None
     core = functools.partial(transform._along, inverse=inverse)
+    rows = _band_rows(transform)
     if transform.in_place:  # bands of one block row, transformed in place on out or on one buffer
-        rows, scratch = m, None
+        scratch = None
         buffer = np.empty((m, w)) if out is None else None
-    else:  # bands of max(BAND_ROWS, M) rows through two band-sized scratch buffers
-        rows = max(BAND_ROWS, m)
+    else:  # bands of several block rows through two band-sized scratch buffers
         scratch = np.empty((2, min(rows, h) * w))
 
     for top in range(0, h, rows):
@@ -327,16 +333,16 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, post=N
         subbands = y.reshape(m, r // m, w).transpose(1, 0, 2)
         if inverse:
             np.copyto(subbands, src[top:top + r].reshape(r // m, m, w))
-            post(y, n, n, 1)
+            post(y.reshape(m, n))
             core(subbands, blocks)
-            post(x, n, 1, m)
+            post(x.reshape(n, m).T)
             core(x.reshape(n, m), band.reshape(n, m))
         else:
             np.copyto(y.reshape(r, w), src[top:top + r])
             core(y.reshape(n, m), x.reshape(n, m))
-            post(x, n, 1, m)
+            post(x.reshape(n, m).T)
             core(blocks, subbands)
-            post(y, n, n, 1)
+            post(y.reshape(m, n))
             if scratch is not None:
                 np.copyto(band.reshape(r // m, m, w), subbands)
         yield band
@@ -515,14 +521,13 @@ def bench_postprocessing(
 ) -> BenchReport:
     """Median wall time of the two postprocessing styles on one seeded image.
 
-    Both variants run forward_2d's pipeline on rfst(m), with the core
-    it ships at m: a dense product below regularity.FFT_MIN_SIZE and
-    the FFT from there on.  One streams rfst's own reflection cascade;
-    in the other the dense half-size matrix on the even coefficients
-    replaces it, on the same two layouts: the segment-major rows of the
-    row pass and the subband-major rows of the column pass.  Every
-    loaded OpenBLAS is held at one thread for the timed region, and
-    blas_pinning records how (or "unpinned"); band_rows is the band
+    Both variants run forward_2d's pipeline, with the core rfst(m)
+    ships at m: a dense product below regularity.FFT_MIN_SIZE and the
+    FFT from there on.  One is rfst(m), which streams its reflection
+    cascade; the other is rfst(m) with rdst.DenseHalf, the dense
+    half-size matrix on the even coefficients, in the cascade's place.
+    Every loaded OpenBLAS is held at one thread for the timed region,
+    and blas_pinning records how (or "unpinned"); band_rows is the band
     height the pipeline ran.  Reports the medians, their difference,
     and the max absolute discrepancy between the two coefficient
     planes.  repeats >= 1; image_size a positive multiple of m.
@@ -534,42 +539,30 @@ def bench_postprocessing(
     rng = np.random.default_rng(seed)
     img = GrayImage(rng.integers(0, 256, size=(image_size, image_size), dtype=np.uint8))
     fast = rfst(m)
-    pp = half_postprocessing_matrix(m)
+    dense = FastRegularTransform(DenseHalf(half_postprocessing_matrix(m)))
 
     # the integer-to-float conversion is identical for both styles, so it
     # stays outside the timed region
     plane0 = img.pixels.astype(np.float64)
     work = np.empty_like(plane0)
-    band_rows = min(max(BAND_ROWS, m), image_size)
-    half = np.empty(band_rows * image_size // 2)
-    cascade_post = None  # rfst's own cascade
 
-    def dense_post(flat, n, lane, step):
-        if step == 1:  # subband-major: coefficient k of every segment is row k of (M, n)
-            even, out = flat.reshape(m, n)[0::2], half[: n * m // 2].reshape(m // 2, n)
-            np.matmul(pp, even, out=out)
-        else:  # segment-major: coefficient k of every segment is column k of (n, M)
-            even, out = flat.reshape(n, m)[:, 0::2], half[: n * m // 2].reshape(n, m // 2)
-            np.matmul(even, pp.T, out=out)
-        even[...] = out
+    def run(transform, out=work) -> np.ndarray:
+        return _fill(_blockwise_2d(plane0, out, transform), out)
 
-    def run(post, out=work) -> np.ndarray:
-        return _fill(_blockwise_2d(plane0, out, fast, post=post), out)
-
-    def timed(post) -> float:
+    def timed(transform) -> float:
         start = time.perf_counter()
-        run(post)
+        run(transform)
         return time.perf_counter() - start
 
     with _one_blas_thread() as pinning:
-        for post in (cascade_post, dense_post):  # warm buffers and BLAS dispatch
-            timed(post)
+        for transform in (fast, dense):  # warm buffers and BLAS dispatch
+            timed(transform)
         cascade_times, dense_times = [], []
         for _ in range(repeats):
-            cascade_times.append(timed(cascade_post))
-            dense_times.append(timed(dense_post))
+            cascade_times.append(timed(fast))
+            dense_times.append(timed(dense))
 
-    diff = float(np.abs(run(cascade_post, np.empty_like(plane0)) - run(dense_post)).max())
+    diff = float(np.abs(run(fast, np.empty_like(plane0)) - run(dense)).max())
     cascade_median = float(np.median(cascade_times))
     dense_median = float(np.median(dense_times))
     return BenchReport(
@@ -581,5 +574,5 @@ def bench_postprocessing(
         saved_s=dense_median - cascade_median,
         max_abs_diff=diff,
         blas_pinning=pinning,
-        band_rows=band_rows,
+        band_rows=min(_band_rows(fast), image_size),
     )

@@ -71,19 +71,13 @@ def counting_vector(values, counter: OpCounter) -> np.ndarray:
 
 
 def measure_cascade_ops(cascade) -> OpCounter:
-    """Run the real cascade code path on instrumented scalars and return the tally."""
+    """Run a postprocessing's real code path on instrumented scalars and return the tally.
+
+    cascade is a RegularityCascade or anything with its target_size and
+    apply, such as rdst.DenseHalf.
+    """
     counter = OpCounter()
     seed_values = np.linspace(-1.0, 1.0, cascade.target_size)
     cascade.apply(counting_vector(seed_values, counter))
     return counter
 
-
-def measure_half_postprocessing_ops(m: int) -> OpCounter:
-    """Tally the dense half-size postprocessing applied to instrumented scalars."""
-    from .rdst import apply_half_postprocessing, half_postprocessing_matrix
-
-    counter = OpCounter()
-    pp = half_postprocessing_matrix(m)
-    seed_values = np.linspace(-1.0, 1.0, pp.shape[0])
-    apply_half_postprocessing(pp, counting_vector(seed_values, counter))
-    return counter

@@ -11,7 +11,7 @@ agree up to row order and row signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -162,12 +162,45 @@ def half_postprocessing_matrix(m: int) -> np.ndarray:
     return np.ascontiguousarray(cascade.as_matrix()[0::2, 0::2])
 
 
-def apply_half_postprocessing(pp: np.ndarray, v):
+def apply_half_postprocessing(pp: np.ndarray, v, out=None):
     """Apply the half-size block to the even-coefficient vector (or its columns).
 
     On object arrays of instrumented scalars numpy's matmul starts each
     output row from its first product, so it costs M/2 multiplications
     and M/2 - 1 additions per row, which is the dense-half accounting
-    model.
+    model.  out, if given, receives the product.
     """
-    return pp @ v
+    return np.matmul(pp, v, out=out)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseHalf:
+    """The dense half-size postprocessing, with the regularity cascade's interface.
+
+    matrix is half_postprocessing_matrix(M).  FastRegularTransform(
+    DenseHalf(matrix)) is rfst(M) with this block where the cascade
+    was: the R-DST's fast form, which the timing bench and the op
+    counter run through the same calls as the cascade.  Unlike the
+    cascade, the product needs an array as large as its input, so apply
+    keeps one per input shape and layout and an instance must not be
+    shared between threads.  A fresh array per call is returned to the
+    OS and faulted in again each time; that made the bench's dense half
+    8-15% slower against the cascade at M = 256 and 1024.
+    """
+
+    matrix: np.ndarray
+    _products: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def target_size(self) -> int:
+        return 2 * len(self.matrix)
+
+    def apply(self, v, inverse: bool = False):
+        """Replace the even coefficients of v, a vector or an (M, n) block, in place; return v."""
+        even = v[0::2]
+        key = (even.shape, even.strides, even.dtype)
+        if key not in self._products:
+            self._products[key] = np.empty_like(even)  # in even's layout
+        pp = self.matrix.T if inverse else self.matrix
+        even[...] = apply_half_postprocessing(pp, even, self._products[key])
+        return v

@@ -33,6 +33,7 @@ from scipy.linalg.blas import drot, drotm, dscal
 from .transforms import (
     GivensReflection,
     OrthonormalTransform,
+    _check_columns,
     _check_size,
     dst2,
     reflect_pair,
@@ -89,18 +90,21 @@ class RegularityCascade:
         """Stream the cascade through v in place and return v.
 
         v may be a 1-D vector, a 2-D array whose columns are independent
-        input vectors, or an object array of instrumented scalars.  The
-        inverse order works because each reflection is an involution.
+        input vectors, or an object array of instrumented scalars.  A
+        float64 (M, n) block runs through BLAS when it is C-ordered
+        (subband-major, each coefficient one contiguous row) or
+        F-ordered (the transpose of a segment-major (n, M) block, each
+        coefficient a stride-M column).  The inverse order works because
+        each reflection is an involution.
         """
-        if (
-            isinstance(v, np.ndarray)
-            and v.ndim == 2
-            and v.dtype == np.float64
-            and v.flags.c_contiguous
-        ):
+        if isinstance(v, np.ndarray) and v.ndim == 2 and v.dtype == np.float64:
             n = v.shape[1]
-            self.apply_flat(v.reshape(-1), n, lane=n, step=1, inverse=inverse)
-            return v
+            if v.flags.c_contiguous:
+                self.apply_flat(v.reshape(-1), n, lane=n, step=1, inverse=inverse)
+                return v
+            if v.flags.f_contiguous:
+                self.apply_flat(v.T.reshape(-1), n, lane=1, step=len(v), inverse=inverse)
+                return v
         order = reversed(self._terms) if inverse else self._terms
         for i, j, c, s, _ in order:
             reflect_pair(v, i, j, c, s)
@@ -171,12 +175,15 @@ class FastRegularTransform:
 
     forward() maps the constant input to [sqrt(M), 0, ..., 0]; the extra
     cost over the plain transform is 4(M/2 - 1) multiplications and
-    2(M/2 - 1) additions per vector.  Only the cascade is stored.  The
+    2(M/2 - 1) additions per vector.  Only the cascade is stored.  It
+    may be any postprocessing with the cascade's target_size and
+    apply(v, inverse=False), such as rdst.DenseHalf, the dense
+    half-size block that the timing bench runs in its place.  The
     sine core runs as _along says: the dense M x M core below
     FFT_MIN_SIZE, built on its first read, and the FFT from there on,
     where forward(), inverse() and the 2-D pipeline never build it; the
-    cascade CSV and the op counts never read it either.  Immutable and
-    safe to share.
+    cascade CSV and the op counts never read it either.  Immutable, and
+    with a RegularityCascade safe to share.
     """
 
     cascade: RegularityCascade
@@ -223,10 +230,7 @@ class FastRegularTransform:
     def _transform(self, x, inverse: bool = False) -> np.ndarray:
         """forward() or inverse() of a vector or an (M, k) block, on a float64 copy of it."""
         x = np.array(x, dtype=np.float64, order="C")
-        if x.ndim not in (1, 2):
-            raise ValueError(f"expected a vector or a 2-D block, got {x.ndim} dimensions")
-        if x.shape[0] != self.size:
-            raise ValueError(f"expected leading dimension {self.size}, got {x.shape[0]}")
+        _check_columns(x, self.size)
         if inverse:
             self.cascade.apply(x, inverse=True)
         y = x if self.in_place else np.empty_like(x)

@@ -36,6 +36,14 @@ def _check_size(m: int) -> None:
         raise ValueError(f"transform size must be a power of two >= 2, got {m!r}")
 
 
+def _check_columns(x: np.ndarray, m: int) -> None:
+    """Reject x unless it is a length-m vector or a 2-D block of length-m columns."""
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a 2-D block, got {x.ndim} dimensions")
+    if x.shape[0] != m:
+        raise ValueError(f"expected leading dimension {m}, got {x.shape[0]}")
+
+
 @dataclass(frozen=True)
 class OrthonormalTransform:
     """Dense real orthonormal matrix tagged with how it was built.
@@ -77,8 +85,7 @@ class OrthonormalTransform:
         product that the benchmark's per-layer trace times (t.core.apply).
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.size:
-            raise ValueError(f"expected leading dimension {self.size}, got {x.shape[0]}")
+        _check_columns(x, self.size)
         return self.entries @ x
 
     def _along(self, x: np.ndarray, y: np.ndarray, inverse: bool = False) -> None:

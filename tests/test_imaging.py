@@ -27,7 +27,7 @@ from rfst.imaging import (
     write_coeff_file,
     write_pgm,
 )
-from rfst.regularity import FFT_MIN_SIZE, rfst
+from rfst.regularity import FFT_MIN_SIZE, FastRegularTransform, rfst
 from rfst.transforms import KINDS, dct2, dst2, hadamard
 
 
@@ -473,21 +473,37 @@ def test_bench_reports_its_band_height(m, image_size, band_rows):
 
 @pytest.mark.parametrize("m", (8, FFT_MIN_SIZE))
 def test_post_replaces_only_the_rfst_cascade(m):
-    # a post that records its lanes and does nothing leaves rfst(m) the plain sine transform;
-    # a plain matrix never calls it
+    # a postprocessing in the cascade's place that records its views and does nothing
+    # leaves rfst(m) the plain sine transform; it sees the band's 2M segments as an (M, 2M)
+    # view, F-ordered after the row pass and C-ordered after the column pass
     img = _random_image(np.random.default_rng(54), m, 2 * m)
-    lanes = []
+    views = []
 
-    def record(flat, n, lane, step):
-        lanes.append((n, lane, step))
+    class Record:
+        target_size = m
 
-    for t, calls in ((rfst(m), [(2 * m, 1, m), (2 * m, 2 * m, 1)]), (dst2(m), [])):
-        lanes.clear()
-        out = np.empty(img.pixels.shape)
-        for _ in imaging._blockwise_2d(img.pixels, out, t, post=record):
-            pass
-        assert lanes == calls
-        np.testing.assert_allclose(out, forward_2d(img, dst2(m)).values, rtol=0, atol=1e-8)
+        def apply(self, v, inverse=False):
+            views.append((v.shape, v.flags.f_contiguous, v.flags.c_contiguous, inverse))
+            return v
+
+    t = FastRegularTransform(Record())
+    plane = forward_2d(img, t)
+    row, column = ((m, 2 * m), True, False), ((m, 2 * m), False, True)
+    assert views == [(*row, False), (*column, False)]
+    np.testing.assert_allclose(plane.values, forward_2d(img, dst2(m)).values, rtol=0, atol=1e-8)
+    views.clear()
+    inverse_2d(plane, t)
+    assert views == [(*column, True), (*row, True)]
+
+
+def test_bench_reports_the_band_height_of_the_core_it_ran(monkeypatch):
+    # with the FFT core switched on at 32, a band is one 32-row block row, not BAND_ROWS rows
+    monkeypatch.setattr(regularity, "FFT_MIN_SIZE", 32)
+    plane = np.zeros((256, 256))
+    assert sum(1 for _ in imaging._blockwise_2d(plane, plane.copy(), rfst(32))) == 256 // 32
+    report = bench_postprocessing(32, image_size=256, repeats=1, seed=6)
+    assert report.band_rows == 32
+    assert report.max_abs_diff <= 1e-10
 
 
 def test_bench_runs_the_fft_core_from_fft_min_size(monkeypatch):

@@ -7,9 +7,11 @@ import pytest
 
 from rfst import regularity
 from rfst.imaging import BAND_ROWS, GrayImage, forward_2d, inverse_2d
-from rfst.opcount import measure_cascade_ops, measure_half_postprocessing_ops
+from rfst.opcount import measure_cascade_ops
+from rfst.rdst import DenseHalf, half_postprocessing_matrix
 from rfst.regularity import (
     FFT_MIN_SIZE,
+    FastRegularTransform,
     RegularityCascade,
     _cascade,
     emit_cascade_csv,
@@ -171,6 +173,13 @@ def test_cascade_fast_path_handles_any_pivot(monkeypatch):
         cas.apply_flat(segments.reshape(-1), 9, lane=1, step=4, inverse=inverse)
         assert len(drotm_calls) == 3
         assert np.abs(segments.T - expected).max() <= 1e-13
+        # and through apply, on the F-ordered (4, 9) view of those segments
+        drotm_calls.clear()
+        segments = np.ascontiguousarray(block.T)
+        out = cas.apply(segments.T, inverse=inverse)
+        assert len(drotm_calls) == 3
+        assert np.shares_memory(out, segments)
+        assert np.abs(out - expected).max() <= 1e-13
 
 
 @pytest.mark.parametrize("m", (8, 256))
@@ -249,6 +258,30 @@ def test_fast_transform_round_trip_and_regularity(m, monkeypatch):
         assert np.abs(t.forward(x) - t.as_matrix().entries @ x).max() <= 1e-12
 
 
+@pytest.mark.parametrize("m", (4, 8, FFT_MIN_SIZE))
+def test_dense_half_in_the_cascade_place_is_rfst(m, monkeypatch):
+    # the dense half-size block is the cascade's action on the even coefficients, so
+    # rfst(m) with it in the cascade's place is the same operator, 1-D, 2-D and dense
+    rng = np.random.default_rng(12)
+    t = rfst(m)
+    dense = FastRegularTransform(DenseHalf(half_postprocessing_matrix(m)))
+    assert (dense.kind, dense.size) == ("RFST", m)
+    if m >= FFT_MIN_SIZE:  # everything but as_matrix() runs the FFT core
+        def no_dst2(size):
+            raise AssertionError("the dense sine transform was built")
+
+        monkeypatch.setattr(regularity, "dst2", no_dst2)
+    x = rng.standard_normal((m, 5))
+    assert np.abs(dense.forward(x) - t.forward(x)).max() <= 1e-12
+    assert np.abs(dense.inverse(x) - t.inverse(x)).max() <= 1e-12
+    img = GrayImage(rng.integers(0, 256, size=(2 * m, 3 * m), dtype=np.uint8))
+    planes = [forward_2d(img, u) for u in (t, dense)]
+    assert planes[1].kind == "RFST"
+    assert np.abs(planes[1].values - planes[0].values).max() <= 1e-10
+    monkeypatch.undo()
+    assert np.abs(dense.as_matrix().entries - t.as_matrix().entries).max() <= 1e-12
+
+
 def test_as_matrix_densifies_once():
     t = rfst(8)
     dense = t.as_matrix()
@@ -304,7 +337,7 @@ def test_instrumented_counts_match_formulas(m):
     counted = measure_cascade_ops(rfst(m).cascade)
     expect = extra_op_count(m, "cascade")
     assert (counted.mul, counted.add) == (expect.mul, expect.add)
-    counted = measure_half_postprocessing_ops(m)
+    counted = measure_cascade_ops(DenseHalf(half_postprocessing_matrix(m)))
     expect = extra_op_count(m, "dense_half")
     assert (counted.mul, counted.add) == (expect.mul, expect.add)
 

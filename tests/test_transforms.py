@@ -169,6 +169,9 @@ def test_transform_apply_shapes():
     assert t.apply(cols).shape == (4, 7)
     with pytest.raises(ValueError):
         t.apply(np.zeros(5))
+    for x in (np.float64(1.0), np.ones((4, 2, 3))):
+        with pytest.raises(ValueError, match="dimensions"):
+            t.apply(x)
 
 
 def test_reflection_matrix_shape_and_involution():
