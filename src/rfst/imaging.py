@@ -8,27 +8,32 @@ matrix.  Each transform is a row pass and then a column pass; the
 inverse runs the adjoint passes in reverse order.
 
 forward_2d, inverse_2d, the CLI's image commands and the bench share
-one pipeline.  The bench runs it on rfst(M), with the core the library
-ships, and on the same transform with rdst.DenseHalf, the dense
-half-size matrix, as its postprocessing in the cascade's place.  Block
-rows are independent, so the pipeline runs the whole 2-D transform one
-cache-sized band of block rows at a time into one output plane, and
-only reads its input.  The row pass leaves a band segment-major,
-(n, M), and hands the postprocessing its F-ordered (M, n) transpose,
-on which the cascade is one BLAS drotm per reflection along the
-stride-M columns; the column pass leaves it subband-major, a C-ordered
-(M, n) with one contiguous row per subband, on which the cascade is
-one dscal + drot per reflection (RegularityCascade.apply).
+one pipeline.  Block rows are independent, so the pipeline runs the
+whole 2-D transform one cache-sized band of block rows at a time into
+one output plane, and only reads its input.  The transform runs its
+own core (its _along method) and names the postprocessing still to run
+after it (its post), and its in_place flag sets the band layout,
+through _band_rows.
 
-The transform runs its own core (its _along method), and its in_place
-flag sets the band layout, through _band_rows.  When the core writes
-to a separate array, as the dense product of every plain matrix and of
-rfst below regularity.FFT_MIN_SIZE does, a band of BAND_ROWS rows (or
-M) runs through two scratch buffers and is copied into block layout in
-the output plane.  When it runs in place, as rfst's FFT core does from
-FFT_MIN_SIZE on, a band is one block row, whose two layouts coincide,
-transformed in place on the output plane.  BAND_ROWS was measured once
-and is fixed.
+rfst(M) takes one of two routes, by its size.  Below
+regularity.FFT_MIN_SIZE its core is one dense product with the folded
+matrix PD, and post is None, as for every plain matrix: a band of
+BAND_ROWS rows (or M) runs through two scratch buffers and is copied
+into block layout in the output plane.  From FFT_MIN_SIZE on its core
+is the FFT, run in place, and post is the cascade: a band is one block
+row, whose two layouts coincide, transformed in place on the output
+plane.  The row pass leaves a band segment-major, (n, M), and hands the
+postprocessing its F-ordered (M, n) transpose, on which the cascade is
+one BLAS drotm per reflection along the stride-M columns; the column
+pass leaves it subband-major, a C-ordered (M, n) with one contiguous
+row per subband, on which the cascade is one dscal + drot per
+reflection (RegularityCascade.apply).  BAND_ROWS was measured once and
+is fixed.
+
+The bench adds a third route, _Unfolded, the paper's: the sine core
+rfst ships at M, then the postprocessing as a pass of its own at every
+M.  It times the cascade and rdst.DenseHalf, the dense half-size
+matrix, on that route, and rfst(M) as shipped.
 
 The loop yields each band as it is finished, so the CLI's image
 commands stream: `rfst image forward` writes every band to the RFC file
@@ -290,13 +295,13 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False):
     """Yield each band of block rows of the block transform of src as soon as it is finished.
 
     The transform is the core, then postprocessing, along rows, then
-    columns.  transform is a FastRegularTransform, whose postprocessing
-    is its cascade (the reflections of rfst(M), or rdst.DenseHalf), or
-    a plain matrix, which gets none; either runs its core through its
-    _along method, and its in_place flag picks the band layout.  The
-    postprocessing's apply runs in place on an (M, n) view of the
-    band's n segments: F-ordered after the row pass, C-ordered after
-    the column pass.
+    columns.  transform is a FastRegularTransform or a plain matrix;
+    either runs its core through its _along method, its post names the
+    postprocessing still to run after it (None for a plain matrix and
+    for rfst below FFT_MIN_SIZE, whose core holds its cascade), and its
+    in_place flag picks the band layout.  The postprocessing's apply
+    runs in place on an (M, n) view of the band's n segments: F-ordered
+    after the row pass, C-ordered after the column pass.
     src, of any layout and dtype, is only read.  out is a C-contiguous
     float64 plane of its shape, which the bands fill, or None: then a
     band is built in a band-sized buffer that the next band reuses, so
@@ -305,10 +310,10 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False):
     """
     m = transform.size
     h, w = src.shape
-    if isinstance(transform, FastRegularTransform):
-        post = functools.partial(transform.cascade.apply, inverse=inverse)
-    else:
+    if transform.post is None:
         post = lambda v: None
+    else:
+        post = functools.partial(transform.post.apply, inverse=inverse)
     core = functools.partial(transform._along, inverse=inverse)
     rows = _band_rows(transform)
     if transform.in_place:  # bands of one block row, transformed in place on out or on one buffer
@@ -503,6 +508,25 @@ def _one_blas_thread():
             setter(count)
 
 
+class _Unfolded(FastRegularTransform):
+    """rfst's sine core, then its postprocessing as a pass of its own, at every M.
+
+    The paper appends the postprocessing to a fast sine transform and
+    compares the cascade with the dense half-size block there, so the
+    bench times both on this route: the sine core that rfst ships at M
+    (the dense product below regularity.FFT_MIN_SIZE, the FFT from
+    there on), then the postprocessing, even where rfst(M) folds the
+    two into one product.  It is the reference that the shipped route
+    is checked against.
+    """
+
+    _along = FastRegularTransform._sine_along
+
+    @property
+    def post(self):
+        return self.cascade
+
+
 @dataclass(frozen=True)
 class BenchReport:
     size: int
@@ -514,23 +538,29 @@ class BenchReport:
     max_abs_diff: float
     blas_pinning: str
     band_rows: int
+    shipped_median_s: float
 
 
 def bench_postprocessing(
     m: int, image_size: int = 512, repeats: int = 11, seed: int = 0
 ) -> BenchReport:
-    """Median wall time of the two postprocessing styles on one seeded image.
+    """Median wall time of the two postprocessing styles on one seeded image, and of rfst(m).
 
-    Both variants run forward_2d's pipeline, with the core rfst(m)
-    ships at m: a dense product below regularity.FFT_MIN_SIZE and the
-    FFT from there on.  One is rfst(m), which streams its reflection
-    cascade; the other is rfst(m) with rdst.DenseHalf, the dense
-    half-size matrix on the even coefficients, in the cascade's place.
-    Every loaded OpenBLAS is held at one thread for the timed region,
-    and blas_pinning records how (or "unpinned"); band_rows is the band
-    height the pipeline ran.  Reports the medians, their difference,
-    and the max absolute discrepancy between the two coefficient
-    planes.  repeats >= 1; image_size a positive multiple of m.
+    Both styles run forward_2d's pipeline on the unfolded route
+    (_Unfolded): the sine core rfst(m) ships at m, a dense product
+    below regularity.FFT_MIN_SIZE and the FFT from there on, then the
+    postprocessing as its own pass.  One is rfst(m)'s reflection
+    cascade; the other is rdst.DenseHalf, the dense half-size matrix on
+    the even coefficients, in the cascade's place.  The third median,
+    shipped_median_s, times rfst(m) as forward_2d runs it: below
+    FFT_MIN_SIZE one product with the folded matrix, the same route as
+    the cascade's from there on.  Every loaded OpenBLAS is held at one
+    thread for the timed region, and blas_pinning records how (or
+    "unpinned"); band_rows is the band height the pipeline ran.
+    Reports the medians, the difference of the first two, and the max
+    absolute discrepancy between the cascade's and the dense half's
+    coefficient planes.  repeats >= 1; image_size a positive multiple
+    of m.
     """
     _check_size(m)
     if repeats < 1:
@@ -538,10 +568,11 @@ def bench_postprocessing(
     _check_divisible((image_size, image_size), m)
     rng = np.random.default_rng(seed)
     img = GrayImage(rng.integers(0, 256, size=(image_size, image_size), dtype=np.uint8))
-    fast = rfst(m)
-    dense = FastRegularTransform(DenseHalf(half_postprocessing_matrix(m)))
+    shipped = rfst(m)
+    cascade = _Unfolded(shipped.cascade)
+    dense = _Unfolded(DenseHalf(half_postprocessing_matrix(m)))
 
-    # the integer-to-float conversion is identical for both styles, so it
+    # the integer-to-float conversion is identical for every route, so it
     # stays outside the timed region
     plane0 = img.pixels.astype(np.float64)
     work = np.empty_like(plane0)
@@ -555,14 +586,15 @@ def bench_postprocessing(
         return time.perf_counter() - start
 
     with _one_blas_thread() as pinning:
-        for transform in (fast, dense):  # warm buffers and BLAS dispatch
+        for transform in (cascade, dense, shipped):  # warm buffers and BLAS dispatch
             timed(transform)
-        cascade_times, dense_times = [], []
+        cascade_times, dense_times, shipped_times = [], [], []
         for _ in range(repeats):
-            cascade_times.append(timed(fast))
+            cascade_times.append(timed(cascade))
             dense_times.append(timed(dense))
+            shipped_times.append(timed(shipped))
 
-    diff = float(np.abs(run(fast, np.empty_like(plane0)) - run(dense)).max())
+    diff = float(np.abs(run(cascade, np.empty_like(plane0)) - run(dense)).max())
     cascade_median = float(np.median(cascade_times))
     dense_median = float(np.median(dense_times))
     return BenchReport(
@@ -574,5 +606,6 @@ def bench_postprocessing(
         saved_s=dense_median - cascade_median,
         max_abs_diff=diff,
         blas_pinning=pinning,
-        band_rows=min(_band_rows(fast), image_size),
+        band_rows=min(_band_rows(shipped), image_size),
+        shipped_median_s=float(np.median(shipped_times)),
     )

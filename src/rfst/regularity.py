@@ -11,13 +11,18 @@ pairs (0, 2k) suffice, and appending them after the transform yields an
 operator that is orthonormal, regular, and only marginally more
 expensive than the plain transform.
 
-This module also owns how rfst's sine core runs.  Below FFT_MIN_SIZE it
-is the dense M x M product; from FFT_MIN_SIZE on it is scipy.fft's
+This module also owns how rfst runs.  The paper appends the reflections
+because it assumes a fast sine transform.  Below FFT_MIN_SIZE the core
+is a dense M x M product anyway, so rfst runs one product with the
+folded matrix, the cascade applied to the rows of the sine matrix, and
+no cascade pass follows.  From FFT_MIN_SIZE on the core is scipy.fft's
 orthonormal DST-II, O(M log M) per vector against the dense product's
-O(M^2), run in place, and the dense matrix is never built.  forward(),
-inverse() and the 2-D pipeline all run it through
-FastRegularTransform._along; scipy.fft is imported on the FFT path
-only.
+O(M^2), run in place, and the cascade follows as a pass of its own;
+neither dense matrix is built.  forward(), inverse() and the 2-D
+pipeline all run the core through FastRegularTransform._along and the
+pass, if any, through its post.  scipy.fft is imported on the FFT path
+only, and scipy.linalg, whose BLAS runs the cascade pass on a block, on
+the first such pass.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg.blas import drot, drotm, dscal
 
 from .transforms import (
     GivensReflection,
@@ -41,15 +45,44 @@ from .transforms import (
 
 OP_COUNT_STYLES = ("cascade", "dense_half")
 
-# Block size from which rfst's sine core runs as an FFT (scipy.fft's DST-II)
-# instead of a dense product.  Medians of 4 runs of 11 forward_2d/inverse_2d
-# calls on a 2048^2 plane, forward/inverse ms, one BLAS thread on a shared
-# 2-core x86-64 host, numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31:
-#   M        32      64     128     256     512    1024
-#   dense   45/45   61/62   88/84 141/143 224/226 398/406
-#   FFT     76/75   81/77  100/97 109/109 108/114 128/133
-# From 256 on the FFT wins by 23% or more both ways; at 128 the dense core wins.
+# Block size from which rfst runs its sine core as an FFT (scipy.fft's DST-II)
+# and then the cascade as a pass of its own, instead of one dense product with
+# the folded matrix.  Medians of 6 runs of 11 forward_2d/inverse_2d calls on a
+# 2048^2 plane, forward/inverse ms, one BLAS thread on a shared 2-core x86-64
+# host, numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31:
+#   M                  128      256      512
+#   folded dense     51/49    80/78  153/142
+#   FFT + cascade    63/67   99/104   96/106
+# The runs ranged over 47-65, 75-105 and 134-189 ms folded, 61-85, 87-118 and
+# 85-112 ms FFT.  From 512 on the FFT wins by a third.  At 256 the folded
+# product now wins by a fifth, but no benchmark workload runs at 256 to
+# confirm it, so the switch stays there.
 FFT_MIN_SIZE = 256
+
+_BLAS_NAMES = ("drot", "drotm", "dscal")
+
+
+def __getattr__(name: str):
+    """drot, drotm and dscal of scipy.linalg.blas, bound on first use.
+
+    scipy.linalg takes 0.2-0.27 s to import in a fresh interpreter (0.06 s
+    after scipy.fft), and only the cascade's own pass, from FFT_MIN_SIZE
+    on, runs its BLAS.
+    """
+    if name in _BLAS_NAMES:
+        return _bind_blas()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _bind_blas() -> dict:
+    """The module globals, with the BLAS names bound unless they already are (or are patched)."""
+    names = globals()
+    if not all(name in names for name in _BLAS_NAMES):
+        from scipy.linalg import blas
+
+        for name in _BLAS_NAMES:
+            names.setdefault(name, getattr(blas, name))
+    return names
 
 
 @dataclass(frozen=True)
@@ -105,6 +138,10 @@ class RegularityCascade:
             if v.flags.f_contiguous:
                 self.apply_flat(v.T.reshape(-1), n, lane=1, step=len(v), inverse=inverse)
                 return v
+        return self.reflect(v, inverse)
+
+    def reflect(self, v, inverse: bool = False):
+        """apply's route without BLAS: reflect_pair on whole rows of v, in place; returns v."""
         order = reversed(self._terms) if inverse else self._terms
         for i, j, c, s, _ in order:
             reflect_pair(v, i, j, c, s)
@@ -130,6 +167,7 @@ class RegularityCascade:
         """
         if n == 0:  # BLAS rejects any offset into an empty lane
             return
+        _bind_blas()
         order = reversed(self._terms) if inverse else self._terms
         for i, j, c, s, param in order:
             x, y = i * lane, j * lane
@@ -171,19 +209,22 @@ def _cascade(dc_response: np.ndarray, partners) -> RegularityCascade:
 
 @dataclass(frozen=True)
 class FastRegularTransform:
-    """Sine transform followed by its regularity cascade, applied streaming.
+    """Sine transform followed by its regularity cascade.
 
-    forward() maps the constant input to [sqrt(M), 0, ..., 0]; the extra
-    cost over the plain transform is 4(M/2 - 1) multiplications and
-    2(M/2 - 1) additions per vector.  Only the cascade is stored.  It
-    may be any postprocessing with the cascade's target_size and
-    apply(v, inverse=False), such as rdst.DenseHalf, the dense
-    half-size block that the timing bench runs in its place.  The
-    sine core runs as _along says: the dense M x M core below
-    FFT_MIN_SIZE, built on its first read, and the FFT from there on,
-    where forward(), inverse() and the 2-D pipeline never build it; the
-    cascade CSV and the op counts never read it either.  Immutable, and
-    with a RegularityCascade safe to share.
+    forward() maps the constant input to [sqrt(M), 0, ..., 0]; streamed,
+    the extra cost over the plain transform is 4(M/2 - 1)
+    multiplications and 2(M/2 - 1) additions per vector.  Only the
+    cascade is stored.  It may be any postprocessing with the cascade's
+    target_size and apply(v, inverse=False), such as rdst.DenseHalf,
+    the dense half-size block that the timing bench runs in its place.
+    The size picks the route, as _along says: below FFT_MIN_SIZE one
+    dense product with the folded matrix, the cascade applied to the
+    rows of dst2(M), built once on first use and returned by
+    as_matrix(); from FFT_MIN_SIZE on the FFT core, then the cascade as
+    its own pass, where forward(), inverse() and the 2-D pipeline never
+    build the dense core or the folded matrix; the cascade CSV and the
+    op counts never read them either.  Immutable, and with a
+    RegularityCascade safe to share.
     """
 
     cascade: RegularityCascade
@@ -198,13 +239,33 @@ class FastRegularTransform:
         """Whether _along writes its output over its input: the FFT core, from FFT_MIN_SIZE on."""
         return self.size >= FFT_MIN_SIZE
 
+    @property
+    def post(self):
+        """The postprocessing left to run after each pass of _along: the cascade, or None.
+
+        None below FFT_MIN_SIZE, where _along's matrix holds the cascade.
+        """
+        return self.cascade if self.in_place else None
+
     @cached_property
     def core(self) -> OrthonormalTransform:
         """The dense type-II sine transform, built and Gram-checked on first read."""
         return dst2(self.size)
 
     def _along(self, x: np.ndarray, y: np.ndarray, inverse: bool = False) -> None:
-        """The sine core along axis 1 of x, shaped (n, M) or (a, M, b), written to y.
+        """The transform's core along axis 1 of x, shaped (n, M) or (a, M, b), written to y.
+
+        Below FFT_MIN_SIZE this is the folded matrix's product, the
+        postprocessing included.  From there on it is the sine core
+        alone, as _sine_along runs it, and post is still to run.
+        """
+        if self.in_place:
+            self._sine_along(x, y, inverse)
+        else:
+            self._matrix._along(x, y, inverse)
+
+    def _sine_along(self, x: np.ndarray, y: np.ndarray, inverse: bool = False) -> None:
+        """The sine core alone along axis 1 of x, shaped (n, M) or (a, M, b), written to y.
 
         Below FFT_MIN_SIZE this is the dense core's product.  From there
         on it is scipy.fft's orthonormal DST-II, run in place on x, so y
@@ -212,7 +273,7 @@ class FastRegularTransform:
         """
         if not self.in_place:
             return self.core._along(x, y, inverse)
-        from scipy.fft import dst, idst  # 62 ms to import (43 of them scipy.special)
+        from scipy.fft import dst, idst  # 0.19-0.32 s to import, scipy.special 0.04-0.08 s
 
         res = (idst if inverse else dst)(x, type=2, axis=1, norm="ortho", overwrite_x=True)
         # scipy.fft writes an overwritable float64 input in place; copy back if it did not
@@ -231,12 +292,15 @@ class FastRegularTransform:
         """forward() or inverse() of a vector or an (M, k) block, on a float64 copy of it."""
         x = np.array(x, dtype=np.float64, order="C")
         _check_columns(x, self.size)
-        if inverse:
-            self.cascade.apply(x, inverse=True)
+        post = self.post
+        if inverse and post is not None:
+            post.apply(x, inverse=True)
         y = x if self.in_place else np.empty_like(x)
         columns = (1, self.size, x.size // self.size)  # -1 cannot size an empty block
         self._along(x.reshape(columns), y.reshape(columns), inverse)
-        return y if inverse else self.cascade.apply(y)
+        if not inverse and post is not None:
+            post.apply(y)
+        return y
 
     def as_matrix(self) -> OrthonormalTransform:
         """Densified operator, tagged RFST; built and Gram-checked once per instance."""
@@ -244,7 +308,11 @@ class FastRegularTransform:
 
     @cached_property
     def _matrix(self) -> OrthonormalTransform:
-        entries = self.cascade.apply(self.core.entries.copy())
+        """The folded matrix: the postprocessing applied to the rows of the dense sine core."""
+        entries = self.core.entries.copy()
+        post = self.cascade
+        # the cascade's reflect_pair route needs no BLAS, so the dense path never loads scipy.linalg
+        (post.reflect if isinstance(post, RegularityCascade) else post.apply)(entries)
         return OrthonormalTransform(entries, kind=self.kind)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -57,7 +56,8 @@ class OrthonormalTransform:
 
     entries: np.ndarray
     kind: str = "CUSTOM"
-    in_place = False  # not a field: _along writes to a separate array
+    in_place = False  # not fields: _along writes to a separate array,
+    post = None  # and no postprocessing follows it
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=np.float64, copy=True)
@@ -174,10 +174,22 @@ def dst2(m: int) -> OrthonormalTransform:
 
 
 def hadamard(m: int) -> OrthonormalTransform:
-    """Normalized Hadamard transform (entries +-1/sqrt(m), natural ordering)."""
+    """Normalized Hadamard transform (entries +-1/sqrt(m), natural ordering).
+
+    Entry (i, j) is (-1)^popcount(i & j) / sqrt(m): Sylvester's matrix,
+    doubled as [[H, H], [H, -H]] in one array.
+    """
     _check_size(m)
     m = int(m)
-    entries = scipy.linalg.hadamard(m) / np.sqrt(m)
+    entries = np.empty((m, m))
+    entries[0, 0] = 1.0 / np.sqrt(m)
+    n = 1
+    while n < m:
+        top = entries[:n, :n]
+        entries[:n, n:2 * n] = top
+        entries[n:2 * n, :n] = top
+        entries[n:2 * n, n:2 * n] = -top
+        n *= 2
     return OrthonormalTransform(entries, kind="HT")
 
 

@@ -109,8 +109,10 @@ def test_criterion_5_operation_counts(capsys):
             assert (report.mul, report.add) == cascade_counts[m]
             report = extra_op_count(m, "dense_half")
             assert (report.mul, report.add) == dense_half_counts[m]
-            # counters ride through the exact code path forward() executes
-            # for its postprocessing stage
+            # counters ride through the cascade's reflect_pair loop: the code
+            # that folds it into rfst's dense matrix below FFT_MIN_SIZE, and the
+            # route forward() takes from there on for a vector; on a block
+            # forward() runs the same reflections through BLAS
             counter = measure_cascade_ops(rfst(m).cascade)
             assert (counter.mul, counter.add) == (2 * (m - 2), m - 2)
 

@@ -454,6 +454,7 @@ def test_bench_csv_shape(capsys):
         "dense_half_median_seconds",
         "saved_seconds",
         "max_abs_diff",
+        "shipped_median_seconds",
     ]
     assert float(lines[4].split(",")[1]) <= 1e-10
 

@@ -299,6 +299,35 @@ def test_fft_and_dense_cores_agree_at_large_blocks(monkeypatch):
     assert np.abs(fft_plane - img.pixels).max() <= 1e-9
 
 
+# below FFT_MIN_SIZE rfst runs one product with its folded matrix, which rounds
+# differently from the sine core and the cascade run one after the other: here
+# forward differs by up to 1.1e-11 at M = 128, where coefficients reach 255 M, and
+# inverse by 4.5e-13.  From there on both routes run the same code
+@pytest.mark.parametrize("m", (2, 4, 8, 16, 32, 64, 128, FFT_MIN_SIZE, 2 * FFT_MIN_SIZE))
+def test_shipped_route_matches_the_unfolded_route(m):
+    rng = np.random.default_rng(56)
+    img = _random_image(rng, max(256, 2 * m), max(256, 3 * m))
+    coeffs = CoeffPlane(rng.standard_normal(img.pixels.shape) * 100.0, block=m)
+    shipped, reference = ((forward_2d(img, t).values, inverse_2d(coeffs, t))
+                          for t in (rfst(m), imaging._Unfolded(rfst(m).cascade)))
+    for got, want in zip(shipped, reference):
+        if m < FFT_MIN_SIZE:
+            assert np.abs(got - want).max() <= 1e-10
+        else:
+            assert np.array_equal(got, want)
+
+
+def test_fft_route_reads_neither_the_dense_core_nor_the_folded_matrix(monkeypatch):
+    def unread(self):
+        pytest.fail("the dense sine core or the folded matrix was read")
+
+    for name in ("core", "_matrix"):
+        monkeypatch.setattr(FastRegularTransform, name, property(unread))
+    img = _random_image(np.random.default_rng(57), 1024, 2048)
+    t = rfst(1024)
+    assert np.abs(inverse_2d(forward_2d(img, t), t) - img.pixels).max() <= 1e-9
+
+
 @pytest.mark.parametrize("m,planes", ((8, 1.3), (FFT_MIN_SIZE, 1.1)))
 def test_2d_pipeline_holds_at_most_two_planes(m, planes):
     # the output plane and, on the dense core, two band-sized scratch buffers:
@@ -334,16 +363,20 @@ def test_outputs_do_not_depend_on_band_height(monkeypatch, maker, m):
 
 @pytest.mark.parametrize("m", (8, FFT_MIN_SIZE))
 def test_scipy_fft_is_imported_by_the_fft_core_alone(m):
+    # and scipy.linalg, whose BLAS only the cascade's own pass runs, never below FFT_MIN_SIZE
     src = str(Path(imaging.__file__).resolve().parents[1])
     for calls in (f"img = rfst.GrayImage(np.zeros((2 * {m}, {m}), np.uint8)); "
                 "rfst.inverse_2d(rfst.forward_2d(img, t), t)",
                 f"t.inverse(t.forward(np.ones({m})))"):
         code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np; "
                 f"import rfst, rfst.cli; t = rfst.rfst({m}); {calls}; "
-                "print('scipy.fft' in sys.modules)")
+                "print('scipy.fft' in sys.modules, 'scipy.linalg' in sys.modules)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, timeout=60)
-        assert done.stdout.strip() == str(m >= FFT_MIN_SIZE), calls
+        fft, linalg = done.stdout.split()
+        assert fft == str(m >= FFT_MIN_SIZE), calls
+        if m < FFT_MIN_SIZE:
+            assert linalg == "False", calls
 
 
 # (M, block rows, block columns, bound): the dense core at the codec block size
@@ -475,7 +508,8 @@ def test_bench_reports_its_band_height(m, image_size, band_rows):
 def test_post_replaces_only_the_rfst_cascade(m):
     # a postprocessing in the cascade's place that records its views and does nothing
     # leaves rfst(m) the plain sine transform; it sees the band's 2M segments as an (M, 2M)
-    # view, F-ordered after the row pass and C-ordered after the column pass
+    # view, F-ordered after the row pass and C-ordered after the column pass.  Below
+    # FFT_MIN_SIZE only the bench's unfolded route runs it as a pass of its own
     img = _random_image(np.random.default_rng(54), m, 2 * m)
     views = []
 
@@ -486,7 +520,7 @@ def test_post_replaces_only_the_rfst_cascade(m):
             views.append((v.shape, v.flags.f_contiguous, v.flags.c_contiguous, inverse))
             return v
 
-    t = FastRegularTransform(Record())
+    t = (FastRegularTransform if m >= FFT_MIN_SIZE else imaging._Unfolded)(Record())
     plane = forward_2d(img, t)
     row, column = ((m, 2 * m), True, False), ((m, 2 * m), False, True)
     assert views == [(*row, False), (*column, False)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rfst import regularity
-from rfst.imaging import BAND_ROWS, GrayImage, forward_2d, inverse_2d
+from rfst.imaging import BAND_ROWS, GrayImage, _Unfolded, forward_2d, inverse_2d
 from rfst.opcount import measure_cascade_ops
 from rfst.rdst import DenseHalf, half_postprocessing_matrix
 from rfst.regularity import (
@@ -205,21 +205,23 @@ def test_cascade_kernel_on_strided_columns_and_offset_slabs(m, monkeypatch):
 
 
 def test_2d_pipeline_makes_one_blas_call_per_reflection_per_pass(monkeypatch):
-    # the dense core's row pass runs the cascade on the stride-8 columns of each
-    # band (drotm), its column pass on the band's subband-major rows (dscal + drot);
-    # one call per block row would make 8 column-pass calls per reflection on 64 rows
+    # on the bench's unfolded route the dense core's row pass runs the cascade on the
+    # stride-8 columns of each band (drotm), its column pass on the band's subband-major
+    # rows (dscal + drot); one call per block row would make 8 column-pass calls per
+    # reflection on 64 rows.  rfst(8) itself folds the cascade into its matrix: no call
     calls = {name: _counting(monkeypatch, name) for name in ("drotm", "drot")}
-    t = rfst(8)
+    unfolded, folded = _Unfolded(rfst(8).cascade), rfst(8)
     for rows, bands in ((64, 1), (3 * BAND_ROWS, 3)):
         img = GrayImage(np.random.default_rng(10).integers(0, 256, size=(rows, 48), dtype=np.uint8))
-        for c in calls.values():
-            c.clear()
-        coeffs = forward_2d(img, t)
-        assert {name: len(c) for name, c in calls.items()} == {"drotm": 3 * bands, "drot": 3 * bands}
-        for c in calls.values():
-            c.clear()
-        inverse_2d(coeffs, t)
-        assert {name: len(c) for name, c in calls.items()} == {"drotm": 3 * bands, "drot": 3 * bands}
+        for t, count in ((unfolded, 3 * bands), (folded, 0)):
+            for c in calls.values():
+                c.clear()
+            coeffs = forward_2d(img, t)
+            assert {name: len(c) for name, c in calls.items()} == {"drotm": count, "drot": count}
+            for c in calls.values():
+                c.clear()
+            inverse_2d(coeffs, t)
+            assert {name: len(c) for name, c in calls.items()} == {"drotm": count, "drot": count}
 
 
 def test_cascade_validates_reflection_range():
@@ -287,7 +289,7 @@ def test_as_matrix_densifies_once():
     dense = t.as_matrix()
     assert dense is t.as_matrix()
     assert dense.kind == "RFST"
-    assert np.array_equal(dense.entries, t.cascade.apply(t.core.entries.copy()))
+    assert np.array_equal(dense.entries, t.cascade.reflect(t.core.entries.copy()))
     assert t.core.as_matrix() is t.core
 
 
