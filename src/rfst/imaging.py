@@ -41,6 +41,12 @@ from one band-sized buffer and holds no coefficient plane, and `rfst
 image inverse` reads the file into one plane (readinto, after a size
 check) and rounds and writes every band to the PGM while it is in cache.
 `rfst image mosaic` regroups every band into the one mosaic plane.
+
+Images are binary PGM (P5) and coefficient planes RFC2 files (see
+_coeff_header), each read and written through a path.  A PGM is read
+whole and handed to parse_pgm, so it may come from a pipe; an RFC2
+payload is read with readinto after a size check, so its input must be
+seekable.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from .rdst import DenseHalf, half_postprocessing_matrix
 from .regularity import FastRegularTransform, rfst
 from .transforms import KINDS, OrthonormalTransform, _check_size
 
-COEFF_MAGIC = b"RFC2"  # RFC1 files, whose last header word is zero, are still read
+COEFF_MAGIC = b"RFC2"
 
 # Rows per band of the dense core, or M if larger: rows, not bytes, so outputs
 # do not depend on the machine; at 64 rows of 2048 columns the two scratch
@@ -158,12 +164,6 @@ def _write(f, header: bytes, bands, dtype) -> None:
         f.write(np.ascontiguousarray(band, dtype=dtype))
 
 
-def _emit(header: bytes, payload: np.ndarray, dtype) -> bytes:
-    f = io.BytesIO()
-    _write(f, header, (payload,), dtype)
-    return f.getvalue()
-
-
 @contextlib.contextmanager
 def _output(path):
     """path opened for writing; if the block raises, a regular file there is removed again."""
@@ -180,10 +180,6 @@ def _output(path):
 
 def _pgm_header(width: int, height: int) -> bytes:
     return f"P5\n{width} {height}\n255\n".encode("ascii")
-
-
-def emit_pgm(img: GrayImage) -> bytes:
-    return _emit(_pgm_header(img.width, img.height), img.pixels, np.uint8)
 
 
 def parse_pgm(data: bytes) -> GrayImage:
@@ -211,14 +207,15 @@ def parse_pgm(data: bytes) -> GrayImage:
     if next_token() != b"P5":
         raise ValueError("not a binary PGM (missing P5 magic)")
     tokens = {field: next_token() for field in ("width", "height", "maxval")}
+    for field, token in tokens.items():
+        if not token.isdigit():
+            token = token.decode("ascii", "backslashreplace")
+            raise ValueError(f"PGM {field} {token!r} is not a decimal number")
     width, height, maxval = (int(token) for token in tokens.values())
     if width <= 0 or height <= 0:
         raise ValueError("bad PGM dimensions")
     if not 0 < maxval <= 255:
         raise ValueError(f"unsupported PGM maxval {maxval} (8-bit only)")
-    for field, token in tokens.items():  # int() also reads "+4" and "1_0"
-        if not token.isdigit():
-            raise ValueError(f"PGM {field} {token.decode()!r} is not a decimal number")
     raster = io.BytesIO(data)
     raster.seek(pos + 1)  # single whitespace byte separating header from raster
     pixels = _read_payload(raster, np.uint8, (height, width), "PGM raster")
@@ -243,19 +240,13 @@ def _coeff_header(shape, block: int, kind: str | None) -> bytes:
     return COEFF_MAGIC + np.array([width, height, block, kind_id], dtype="<u4").tobytes()
 
 
-def emit_coeff_file(plane: CoeffPlane) -> bytes:
-    return _emit(_coeff_header(plane.values.shape, plane.block, plane.kind), plane.values, "<f8")
-
-
 def _read_coeff_file(f) -> CoeffPlane:
     head = f.read(20)
-    if head[:4] not in (b"RFC1", COEFF_MAGIC):
+    if head[:4] != COEFF_MAGIC:
         raise ValueError("not a coefficient file (bad magic)")
     if len(head) < 20:
         raise ValueError("truncated coefficient header")
     width, height, block, kind_id = np.frombuffer(head, "<u4", 4, 4).tolist()
-    if head[:4] == b"RFC1" and kind_id != 0:
-        raise ValueError("reserved header field must be zero")
     if kind_id > len(KINDS):
         raise ValueError(f"unknown transform id {kind_id} in coefficient header")
     values = _read_payload(f, "<f8", (height, width), "coefficient payload")
@@ -263,10 +254,6 @@ def _read_coeff_file(f) -> CoeffPlane:
     if values.size and not np.isfinite([values.min(), values.max()]).all():
         raise ValueError("coefficient payload holds NaN or infinite values")
     return CoeffPlane(values, block=block, kind=KINDS[kind_id - 1] if kind_id else None)
-
-
-def parse_coeff_file(data: bytes) -> CoeffPlane:
-    return _read_coeff_file(io.BytesIO(data))
 
 
 def read_coeff_file(path) -> CoeffPlane:
@@ -486,7 +473,9 @@ def _one_blas_thread():
 
     try:
         with open("/proc/self/maps") as maps:
-            paths = {Path(line.split()[-1]) for line in maps}
+            # address, perms, offset, dev, inode, then the pathname, which may hold spaces
+            fields = (line.rstrip("\n").split(maxsplit=5) for line in maps)
+            paths = {Path(f[5]) for f in fields if len(f) == 6}
     except OSError:  # no procfs: nothing can be found, so nothing is pinned
         paths = set()
     pools = []

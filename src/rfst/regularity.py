@@ -62,20 +62,14 @@ FFT_MIN_SIZE = 256
 _BLAS_NAMES = ("drot", "drotm", "dscal")
 
 
-def __getattr__(name: str):
-    """drot, drotm and dscal of scipy.linalg.blas, bound on first use.
+def _bind_blas() -> dict:
+    """The module globals, with drot, drotm and dscal of scipy.linalg.blas bound unless they are.
 
+    They are bound on the first BLAS cascade pass, not at import:
     scipy.linalg takes 0.2-0.27 s to import in a fresh interpreter (0.06 s
     after scipy.fft), and only the cascade's own pass, from FFT_MIN_SIZE
-    on, runs its BLAS.
+    on, runs its BLAS.  A name already bound, or patched, is kept.
     """
-    if name in _BLAS_NAMES:
-        return _bind_blas()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _bind_blas() -> dict:
-    """The module globals, with the BLAS names bound unless they already are (or are patched)."""
     names = globals()
     if not all(name in names for name in _BLAS_NAMES):
         from scipy.linalg import blas

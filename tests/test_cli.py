@@ -14,13 +14,12 @@ from rfst.cli import main
 from rfst.imaging import (
     BAND_ROWS,
     GrayImage,
-    emit_coeff_file,
-    emit_pgm,
     forward_2d,
     inverse_2d,
     read_coeff_file,
     read_pgm,
     subband_mosaic,
+    write_coeff_file,
     write_pgm,
 )
 from rfst.rdst import EQUIV_DEFAULT_TOL
@@ -256,16 +255,17 @@ def test_image_inverse_rejects_another_transforms_file(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
-def test_image_inverse_reads_rfc1_files(tmp_path, capsys):
-    # RFC1 is RFC2 with a zero last header word and no transform id
-    src, coeff = _forward_rfst_file(tmp_path, capsys)
+def test_image_inverse_rejects_rfc1_files(tmp_path, capsys):
+    # RFC1, RFC2 before its transform id (the last header word was zero), is not read
+    _, coeff = _forward_rfst_file(tmp_path, capsys)
     blob = coeff.read_bytes()
     old, back = tmp_path / "old.rfc", tmp_path / "back.pgm"
     old.write_bytes(b"RFC1" + blob[4:16] + bytes(4) + blob[20:])
-    code, _, err = run(capsys, "image", "inverse", "--transform", "rfst",
-                       "--block", "8", "--in", str(old), "--out", str(back))
-    assert (code, err) == (0, "")
-    assert back.read_bytes() == src.read_bytes()
+    code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst",
+                            "--block", "8", "--in", str(old), "--out", str(back))
+    assert (code, stdout) == (1, "")
+    assert err == "rfst: error: not a coefficient file (bad magic)\n"
+    assert not back.exists()
 
 
 def test_image_inverse_rejects_unknown_transform_id(tmp_path, capsys):
@@ -284,7 +284,7 @@ def test_image_inverse_rejects_unknown_transform_id(tmp_path, capsys):
 def test_image_inverse_rejects_bad_block_header(tmp_path, capsys):
     coeff = tmp_path / "c.rfc"
     header = np.array([8, 8, 0, 0], dtype="<u4").tobytes()  # width, height, block=0
-    coeff.write_bytes(b"RFC1" + header + bytes(8 * 64))
+    coeff.write_bytes(b"RFC2" + header + bytes(8 * 64))
     code, out, err = run(capsys, "image", "inverse", "--transform", "rfst",
                          "--block", "8", "--in", str(coeff), "--out", str(tmp_path / "o.pgm"))
     assert code == 1 and out == ""
@@ -306,7 +306,7 @@ def test_image_forward_rejects_trailing_bytes(tmp_path, capsys):
 )
 def test_image_inverse_rejects_empty_or_nan_planes(tmp_path, capsys, width, payload):
     coeff, out = tmp_path / "c.rfc", tmp_path / "o.pgm"
-    coeff.write_bytes(b"RFC1" + np.array([width, 8, 8, 0], dtype="<u4").tobytes() + payload)
+    coeff.write_bytes(b"RFC2" + np.array([width, 8, 8, 0], dtype="<u4").tobytes() + payload)
     code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst",
                             "--block", "8", "--in", str(coeff), "--out", str(out))
     assert code == 1 and stdout == ""
@@ -360,14 +360,19 @@ def test_streamed_image_commands_match_the_library(tmp_path, capsys, rows, cols,
     assert run(capsys, "image", "forward", *opts, "--in", str(src), "--out", str(coeff))[0] == 0
     t = rfst(block)
     plane = forward_2d(img, t)
-    assert coeff.read_bytes() == emit_coeff_file(plane)
+
+    def written(write, obj):  # the library's file for obj
+        write(obj, tmp_path / "lib")
+        return (tmp_path / "lib").read_bytes()
+
+    assert coeff.read_bytes() == written(write_coeff_file, plane)
     assert run(capsys, "image", "inverse", *opts, "--in", str(coeff), "--out", str(back))[0] == 0
     # the whole-plane rounding that image inverse ran before it streamed bands
     real = inverse_2d(plane, t)
     pixels = np.clip(np.rint(real, out=real), 0, 255, out=real).astype(np.uint8)
-    assert back.read_bytes() == emit_pgm(GrayImage(pixels)) == src.read_bytes()
+    assert back.read_bytes() == written(write_pgm, GrayImage(pixels)) == src.read_bytes()
     assert run(capsys, "image", "mosaic", *opts, "--in", str(src), "--out", str(back))[0] == 0
-    assert back.read_bytes() == emit_pgm(subband_mosaic(plane))
+    assert back.read_bytes() == written(write_pgm, subband_mosaic(plane))
 
 
 @pytest.mark.parametrize("where", ("band-loop", "write"))

@@ -1,5 +1,6 @@
 """Image I/O, separable block transforms, mosaics, and the timing harness."""
 
+import io
 import subprocess
 import sys
 import tracemalloc
@@ -14,11 +15,8 @@ from rfst.imaging import (
     CoeffPlane,
     GrayImage,
     bench_postprocessing,
-    emit_coeff_file,
-    emit_pgm,
     forward_2d,
     inverse_2d,
-    parse_coeff_file,
     parse_pgm,
     read_coeff_file,
     read_pgm,
@@ -58,10 +56,11 @@ def test_coeff_plane_validation():
             CoeffPlane(np.zeros((12, 12)), block=block)
 
 
-def test_pgm_round_trip():
+def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     img = _random_image(rng, 5, 7)
-    again = parse_pgm(emit_pgm(img))
+    write_pgm(img, tmp_path / "t.pgm")
+    again = read_pgm(tmp_path / "t.pgm")
     assert np.array_equal(img.pixels, again.pixels)
     _assert_owned_array(again.pixels)
 
@@ -89,10 +88,11 @@ def test_pgm_rejects_bad_inputs():
         parse_pgm(b"P5\n2 2\n255\n" + bytes(5))
     with pytest.raises(ValueError, match="exceeds maxval"):
         parse_pgm(b"P5\n2 2\n15\n" + bytes([0, 15, 16, 3]))
-    # int() reads these as 10 and 4; a header number is ASCII decimal digits only
-    with pytest.raises(ValueError, match="width"):
-        parse_pgm(b"P5\n1_0 1\n255\n" + bytes(10))
-    with pytest.raises(ValueError, match="height"):
+    # a header number is ASCII decimal digits only, and a bad one names its field
+    for header in (b"1_0 1\n255", b"1e3 1\n255", b"0x10 1\n255", b"25.5 1\n255"):
+        with pytest.raises(ValueError, match=r"^PGM width '.*' is not a decimal number$"):
+            parse_pgm(b"P5\n" + header + b"\n" + bytes(10))
+    with pytest.raises(ValueError, match=r"^PGM height '\+4' is not a decimal number$"):
         parse_pgm(b"P5\n2 +4\n255\n" + bytes(8))
     assert parse_pgm(b"P5\n2 2\n15\n" + bytes([0, 15, 15, 3])).pixels.max() == 15
 
@@ -108,9 +108,10 @@ def test_pgm_file_round_trip(tmp_path):
 def test_coeff_file_round_trip(tmp_path):
     rng = np.random.default_rng(33)
     plane = CoeffPlane(rng.standard_normal((8, 12)), block=4)
-    blob = emit_coeff_file(plane)
-    assert blob[:4] == b"RFC2"
-    again = parse_coeff_file(blob)
+    path = tmp_path / "t.rfc"
+    write_coeff_file(plane, path)
+    assert path.read_bytes()[:4] == b"RFC2"
+    again = read_coeff_file(path)
     assert again.block == 4 and again.kind is None
     assert np.array_equal(again.values, plane.values)
     _assert_owned_array(again.values)
@@ -118,63 +119,66 @@ def test_coeff_file_round_trip(tmp_path):
     ids = {"DCT2": 1, "DST2": 2, "HT": 3, "RFST": 4, "RDST": 5, "CUSTOM": 6}
     assert set(ids) == set(KINDS)
     for kind, kind_id in ids.items():
-        tagged_blob = emit_coeff_file(CoeffPlane(plane.values, block=4, kind=kind))
-        assert np.frombuffer(tagged_blob, "<u4", 1, 16)[0] == kind_id
-        tagged = parse_coeff_file(tagged_blob)
+        write_coeff_file(CoeffPlane(plane.values, block=4, kind=kind), path)
+        assert np.frombuffer(path.read_bytes(), "<u4", 1, 16)[0] == kind_id
+        tagged = read_coeff_file(path)
         assert tagged.kind == kind and np.array_equal(tagged.values, plane.values)
-    # an RFC1 file is the same container with a zero last header word and no kind
-    old = parse_coeff_file(b"RFC1" + blob[4:])
-    assert old.kind is None and np.array_equal(old.values, plane.values)
+
+
+def test_coeff_file_rejects_bad_inputs(tmp_path):
     path = tmp_path / "t.rfc"
-    write_coeff_file(plane, path)
-    assert np.array_equal(read_coeff_file(path).values, plane.values)
+    write_coeff_file(CoeffPlane(np.zeros((4, 4)), block=4), path)
+    blob = path.read_bytes()
 
+    def read_blob(data):
+        path.write_bytes(data)
+        return read_coeff_file(path)
 
-def test_coeff_file_rejects_bad_inputs():
-    plane = CoeffPlane(np.zeros((4, 4)), block=4)
-    blob = bytearray(emit_coeff_file(plane))
-    with pytest.raises(ValueError):
-        parse_coeff_file(b"JUNK" + bytes(blob[4:]))
-    tampered = bytearray(b"RFC1" + blob[4:])
-    tampered[16] = 1  # RFC1's reserved header word
-    with pytest.raises(ValueError, match="reserved header field must be zero"):
-        parse_coeff_file(bytes(tampered))
+    for magic in (b"JUNK", b"RFC1"):  # RFC1, the container before transform ids, is not read
+        with pytest.raises(ValueError, match=r"^not a coefficient file \(bad magic\)$"):
+            read_blob(magic + blob[4:])
     for kind_id in (len(KINDS) + 1, 2**32 - 1):
         tampered = bytearray(blob)
         tampered[16:20] = np.array([kind_id], dtype="<u4").tobytes()  # RFC2's transform id
         with pytest.raises(ValueError, match=f"unknown transform id {kind_id}"):
-            parse_coeff_file(bytes(tampered))
+            read_blob(bytes(tampered))
     with pytest.raises(ValueError, match="unknown transform kind"):
         CoeffPlane(np.zeros((4, 4)), block=4, kind="DST4")
     with pytest.raises(ValueError):
-        parse_coeff_file(bytes(blob[:-8]))
+        read_blob(blob[:-8])
     for block in (0, 3):
         tampered = bytearray(blob)
         tampered[12:16] = np.array([block], dtype="<u4").tobytes()  # block header word
         with pytest.raises(ValueError, match="power of two"):
-            parse_coeff_file(bytes(tampered))
+            read_blob(bytes(tampered))
     with pytest.raises(ValueError, match="trailing"):
-        parse_coeff_file(bytes(blob) + bytes(8))
+        read_blob(blob + bytes(8))
     with pytest.raises(ValueError, match="truncated"):
-        parse_coeff_file(bytes(blob[:12]))
+        read_blob(blob[:12])
     for width, height in ((0, 4), (4, 0), (0, 0)):
         header = np.array([width, height, 4, 0], dtype="<u4").tobytes()
         with pytest.raises(ValueError, match="empty"):
-            parse_coeff_file(b"RFC1" + header)
+            read_blob(b"RFC2" + header)
     for bad in (np.nan, np.inf, -np.inf):
         values = np.zeros((4, 4))
         values[2, 1] = bad
+        write_coeff_file(CoeffPlane(values, block=4), path)
         with pytest.raises(ValueError, match="NaN or infinite"):
-            parse_coeff_file(emit_coeff_file(CoeffPlane(values, block=4)))
+            read_coeff_file(path)
 
 
-def test_codecs_accept_non_contiguous_arrays():
+def test_codecs_accept_non_contiguous_arrays(tmp_path):
     rng = np.random.default_rng(44)
     pixels = rng.integers(0, 256, size=(6, 10), dtype=np.uint8)
-    assert emit_pgm(GrayImage(pixels.T)) == emit_pgm(GrayImage(np.ascontiguousarray(pixels.T)))
     values = rng.standard_normal((8, 12))
-    fortran = CoeffPlane(np.asfortranarray(values), block=4)
-    assert emit_coeff_file(fortran) == emit_coeff_file(CoeffPlane(values, block=4))
+    for write, strided, contiguous in (
+        (write_pgm, GrayImage(pixels.T), GrayImage(np.ascontiguousarray(pixels.T))),
+        (write_coeff_file, CoeffPlane(np.asfortranarray(values), block=4),
+         CoeffPlane(values, block=4)),
+    ):
+        write(strided, tmp_path / "strided")
+        write(contiguous, tmp_path / "contiguous")
+        assert (tmp_path / "strided").read_bytes() == (tmp_path / "contiguous").read_bytes()
 
 
 def test_codecs_copy_their_payload_once(tmp_path):
@@ -182,15 +186,14 @@ def test_codecs_copy_their_payload_once(tmp_path):
     rng = np.random.default_rng(45)
     plane = CoeffPlane(rng.standard_normal((256, 256)), block=8)
     img = _random_image(rng, 512, 512)
-    blob, raster = emit_coeff_file(plane), emit_pgm(img)
+    header = np.array([256, 256, 8, 0], dtype="<u4").tobytes()
+    blob = b"RFC2" + header + plane.values.astype("<f8").tobytes()
+    raster = b"P5\n512 512\n255\n" + img.pixels.tobytes()
     coeff_path = tmp_path / "t.rfc"
     coeff_path.write_bytes(blob)
     for codec, args, payload, bound in (
-        (emit_coeff_file, (plane,), plane.values.nbytes, 1.25),
-        (parse_coeff_file, (blob,), plane.values.nbytes, 1.25),
         (read_coeff_file, (coeff_path,), plane.values.nbytes, 1.05),
         (write_coeff_file, (plane, tmp_path / "w.rfc"), plane.values.nbytes, 0.05),
-        (emit_pgm, (img,), img.pixels.nbytes, 1.25),
         (parse_pgm, (raster,), img.pixels.nbytes, 1.25),
         (write_pgm, (img, tmp_path / "w.pgm"), img.pixels.nbytes, 0.05),
     ):
@@ -210,15 +213,14 @@ def test_huge_coefficient_header_fails_before_allocating(tmp_path):
     blob = b"RFC2" + np.array([65535, 65535, 8, 0], dtype="<u4").tobytes()
     path = tmp_path / "huge.rfc"
     path.write_bytes(blob)
-    for reader, arg in ((parse_coeff_file, blob), (read_coeff_file, path)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="^truncated coefficient payload$"):
-                reader(arg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20, (reader.__name__, peak)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^truncated coefficient payload$"):
+            read_coeff_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def _per_block(plane, mat):
@@ -493,6 +495,25 @@ def test_bench_reports_consistent_fields():
     assert report.max_abs_diff <= 1e-10
     assert report.blas_pinning == "unpinned" or report.blas_pinning.startswith(
         ("openblas_set_num_threads", "scipy_openblas_set_num_threads"))
+
+
+def test_blas_pinning_reads_a_library_path_with_spaces(tmp_path, monkeypatch):
+    # /proc/self/maps ends a line with the library's pathname, which may hold spaces
+    with open("/proc/self/maps") as maps:
+        fields = [line.rstrip("\n").split(maxsplit=5) for line in maps]
+    loaded = sorted(
+        Path(f[5]) for f in fields if len(f) == 6 and "openblas" in Path(f[5]).name.lower())
+    if not loaded:
+        pytest.skip("no OpenBLAS is loaded")
+    spaced = tmp_path / "with space" / loaded[0].name
+    spaced.parent.mkdir()
+    spaced.symlink_to(loaded[0])
+    line = f"7f0000000000-7f0000001000 r-xp 00000000 08:01 1 {spaced}\n"
+    monkeypatch.setattr(imaging, "open", lambda *args, **kwargs: io.StringIO(line), raising=False)
+    with imaging._one_blas_thread() as pinning:
+        pass
+    assert pinning.startswith(("openblas_set_num_threads", "scipy_openblas_set_num_threads"))
+    assert pinning.endswith(f"(1) in {spaced.name}")
 
 
 @pytest.mark.parametrize("m,image_size,band_rows", (

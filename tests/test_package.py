@@ -6,6 +6,7 @@ from pathlib import Path
 import rfst
 
 SRC = Path(rfst.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "rfstbench"
 
 
 def test_public_names_are_pinned_and_resolve():
@@ -50,3 +51,28 @@ def test_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a public function or class of a submodule is referenced by the package, the CLI or
+    # the benchmark, not by the tests alone; its own def or class line does not count
+    programs = sorted(SRC.glob("*.py")) + sorted(
+        path for path in BENCH.glob("*.py") if not path.name.startswith("test_"))
+    defined, referenced = {}, set()
+    for path in programs:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.parent == SRC:
+            defined.update(
+                (node.name, path.name) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert BENCH.is_dir() and defined
+    unused = sorted(f"{file}:{name}" for name, file in defined.items() if name not in referenced)
+    assert unused == []
