@@ -7,6 +7,7 @@ numerical check (the equivalence test) fails.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -138,15 +139,19 @@ def _cmd_freq(args) -> int:
 def _cmd_image(args) -> int:
     transforms._check_size(args.block)  # check inputs first: a large transform takes seconds
     if args.action == "inverse":
-        plane = imaging.read_coeff_file(args.infile)
-        if plane.block != args.block:
-            raise ValueError(
-                f"--block {args.block} does not match coefficient file block {plane.block}"
-            )
-        if plane.kind not in (None, TRANSFORM_KINDS[args.transform]):
-            raise ValueError(f"--transform {args.transform} does not match coefficient "
-                             f"file transform {plane.kind}")
-        imaging._inverse_file(plane, TRANSFORMS[args.transform](args.block), args.out)
+        with open(args.infile, "rb") as f:
+            payload = imaging._Payload(f)  # the header checked; its bands are read as they run
+            if payload.block != args.block:
+                raise ValueError(
+                    f"--block {args.block} does not match coefficient file block {payload.block}"
+                )
+            if payload.kind not in (None, TRANSFORM_KINDS[args.transform]):
+                raise ValueError(f"--transform {args.transform} does not match coefficient "
+                                 f"file transform {payload.kind}")
+            # the output is opened, and truncated, while the input is still being read
+            if os.path.exists(args.out) and os.path.samefile(args.infile, args.out):
+                raise ValueError("--out names the --in file, which image inverse reads as it writes")
+            imaging._inverse_file(payload, TRANSFORMS[args.transform](args.block), args.out)
         return 0
     img = imaging.read_pgm(args.infile)
     imaging._check_divisible(img.pixels.shape, args.block)

@@ -18,8 +18,10 @@ through _band_rows.
 rfst(M) takes one of two routes, by its size.  Below
 regularity.FFT_MIN_SIZE its core is one dense product with the folded
 matrix PD, and post is None, as for every plain matrix: a band of
-BAND_ROWS rows (or M) runs through two scratch buffers and is copied
-into block layout in the output plane.  From FFT_MIN_SIZE on its core
+BAND_ROWS rows (or M) runs its row pass through two scratch buffers,
+and its column pass reads and writes block layout directly, the
+input's rows in the inverse and the output's in the forward, with no
+copy between layouts.  From FFT_MIN_SIZE on its core
 is the FFT, run in place, and post is the cascade: a band is one block
 row, whose two layouts coincide, transformed in place on the output
 plane.  The row pass leaves a band segment-major, (n, M), and hands the
@@ -27,8 +29,10 @@ postprocessing its F-ordered (M, n) transpose, on which the cascade is
 one BLAS drotm per reflection along the stride-M columns; the column
 pass leaves it subband-major, a C-ordered (M, n) with one contiguous
 row per subband, on which the cascade is one dscal + drot per
-reflection (RegularityCascade.apply).  BAND_ROWS was measured once and
-is fixed.
+reflection (RegularityCascade.apply).  Only where a postprocessing
+runs after the dense core, on the bench's _Unfolded route below, does
+a band pass through that subband-major layout and get copied between
+it and block layout.  BAND_ROWS was measured once and is fixed.
 
 The bench adds a third route, _Unfolded, the paper's: the sine core
 rfst ships at M, then the postprocessing as a pass of its own at every
@@ -36,17 +40,23 @@ M.  It times the cascade and rdst.DenseHalf, the dense half-size
 matrix, on that route, and rfst(M) as shipped.
 
 The loop yields each band as it is finished, so the CLI's image
-commands stream: `rfst image forward` writes every band to the RFC file
-from one band-sized buffer and holds no coefficient plane, and `rfst
-image inverse` reads the file into one plane (readinto, after a size
-check) and rounds and writes every band to the PGM while it is in cache.
-`rfst image mosaic` regroups every band into the one mosaic plane.
+commands stream, and neither holds a coefficient plane: `rfst image
+forward` writes every band to the RFC file from one band-sized buffer,
+and `rfst image inverse` reads the file one band at a time (_Payload:
+readinto one reused buffer, after one size check of the whole payload),
+checks the band for NaN and infinity, inverts it, and rounds and writes
+it to the PGM while it is in cache.  A bad value late in the file thus
+fails after part of the PGM is written, and that partial file is
+removed.  `rfst image mosaic` regroups every band into the one mosaic
+plane.
 
 Images are binary PGM (P5) and coefficient planes RFC2 files (see
 _coeff_header), each read and written through a path.  A PGM is read
 whole and handed to parse_pgm, so it may come from a pipe; an RFC2
 payload is read with readinto after a size check, so its input must be
-seekable.
+seekable.  read_coeff_file and `rfst image inverse` read the header
+with one function, and a plane read or built passes one set of checks
+(_check_plane).
 """
 
 from __future__ import annotations
@@ -109,20 +119,8 @@ class CoeffPlane:
     kind: str | None = None
 
     def __post_init__(self):
-        _check_size(self.block)
-        if self.kind is not None and self.kind not in KINDS:
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("coefficient plane must be 2-D")
-        h, w = values.shape
-        if h == 0 or w == 0:
-            raise ValueError(f"empty coefficient plane {w}x{h}")
-        if h % self.block or w % self.block:
-            raise ValueError(
-                f"plane dimensions {w}x{h} not divisible by block size {self.block}"
-            )
-        object.__setattr__(self, "values", values)
+        _check_plane(np.shape(self.values), self.block, self.kind)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
     @property
     def width(self) -> int:
@@ -133,26 +131,42 @@ class CoeffPlane:
         return self.values.shape[0]
 
 
-def _read_payload(f, dtype, shape, what: str) -> np.ndarray:
-    """The payload filling f from its position to its end, read into one new C-ordered array.
+def _check_plane(shape, block: int, kind: str | None) -> None:
+    """The checks every coefficient plane passes, in order, whether built or read from a file."""
+    _check_size(block)
+    if kind is not None and kind not in KINDS:
+        raise ValueError(f"unknown transform kind {kind!r}")
+    if len(shape) != 2:
+        raise ValueError("coefficient plane must be 2-D")
+    h, w = shape
+    if h == 0 or w == 0:
+        raise ValueError(f"empty coefficient plane {w}x{h}")
+    if h % block or w % block:
+        raise ValueError(f"plane dimensions {w}x{h} not divisible by block size {block}")
 
-    f's size is compared with the payload's before anything is
-    allocated, so a header that claims a huge plane fails as truncated;
-    an input that cannot be sized, such as a pipe, is refused.
+
+def _check_payload(f, nbytes: int, what: str) -> None:
+    """Check that f holds exactly nbytes from its position to its end, and leave f there.
+
+    This runs before anything is allocated, so a header that claims a
+    huge plane fails as truncated; an input that cannot be sized, such
+    as a pipe, is refused.
     """
     if not f.seekable():
         raise ValueError(
             f"cannot read the {what} from a pipe or another input that is not seekable")
     start = f.tell()
     size = f.seek(0, io.SEEK_END) - start
-    nbytes = np.dtype(dtype).itemsize * shape[0] * shape[1]
     if size < nbytes:
         raise ValueError(f"truncated {what}")
     if size > nbytes:
         raise ValueError(f"trailing bytes after {what}")
     f.seek(start)
-    values = np.empty(shape, dtype)
-    if f.readinto(values) != nbytes:  # the file shrank after it was sized
+
+
+def _read_into(f, values: np.ndarray, what: str) -> np.ndarray:
+    """Fill values, a C-ordered array, from f's next bytes; returns values."""
+    if f.readinto(values) != values.nbytes:  # the file shrank after it was sized
         raise ValueError(f"truncated {what}")
     return values
 
@@ -218,7 +232,8 @@ def parse_pgm(data: bytes) -> GrayImage:
         raise ValueError(f"unsupported PGM maxval {maxval} (8-bit only)")
     raster = io.BytesIO(data)
     raster.seek(pos + 1)  # single whitespace byte separating header from raster
-    pixels = _read_payload(raster, np.uint8, (height, width), "PGM raster")
+    _check_payload(raster, height * width, "PGM raster")
+    pixels = _read_into(raster, np.empty((height, width), np.uint8), "PGM raster")
     if maxval < 255 and pixels.max() > maxval:
         raise ValueError(f"PGM pixel value {pixels.max()} exceeds maxval {maxval}")
     return GrayImage(pixels)
@@ -240,7 +255,12 @@ def _coeff_header(shape, block: int, kind: str | None) -> bytes:
     return COEFF_MAGIC + np.array([width, height, block, kind_id], dtype="<u4").tobytes()
 
 
-def _read_coeff_file(f) -> CoeffPlane:
+def _read_coeff_header(f):
+    """The (height, width), block and kind of the RFC file f, with f left at its payload.
+
+    Checked in this order: magic, header length, transform id, then the
+    payload's size against the header's, before anything is allocated.
+    """
     head = f.read(20)
     if head[:4] != COEFF_MAGIC:
         raise ValueError("not a coefficient file (bad magic)")
@@ -249,11 +269,45 @@ def _read_coeff_file(f) -> CoeffPlane:
     width, height, block, kind_id = np.frombuffer(head, "<u4", 4, 4).tolist()
     if kind_id > len(KINDS):
         raise ValueError(f"unknown transform id {kind_id} in coefficient header")
-    values = _read_payload(f, "<f8", (height, width), "coefficient payload")
+    _check_payload(f, 8 * height * width, "coefficient payload")
+    return (height, width), block, KINDS[kind_id - 1] if kind_id else None
+
+
+def _read_coeffs(f, values: np.ndarray) -> np.ndarray:
+    """Fill values, rows of an RFC payload, from f's next bytes, and check that all are finite."""
+    _read_into(f, values, "coefficient payload")
     # a NaN propagates through min and max, and an infinity is one of them: no mask is needed
     if values.size and not np.isfinite([values.min(), values.max()]).all():
         raise ValueError("coefficient payload holds NaN or infinite values")
-    return CoeffPlane(values, block=block, kind=KINDS[kind_id - 1] if kind_id else None)
+    return values
+
+
+def _read_coeff_file(f) -> CoeffPlane:
+    shape, block, kind = _read_coeff_header(f)
+    return CoeffPlane(_read_coeffs(f, np.empty(shape, "<f8")), block=block, kind=kind)
+
+
+class _Payload:
+    """An RFC file's coefficient plane, read from the file a band of rows at a time.
+
+    The header is read and every check that needs no coefficient runs
+    when it is built; nothing is allocated before the payload's size
+    is checked.  The band loop then takes it for the plane: slicing
+    it, one band after the other from the top, reads each band into
+    one reused buffer and checks that its values are finite, so no
+    coefficient plane is held.
+    """
+
+    def __init__(self, f):
+        self.shape, self.block, self.kind = _read_coeff_header(f)
+        _check_plane(self.shape, self.block, self.kind)
+        self._file, self._buffer = f, None
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        r = rows.stop - rows.start
+        if self._buffer is None:  # the first band is the tallest
+            self._buffer = np.empty((r, self.shape[1]), "<f8")
+        return _read_coeffs(self._file, self._buffer[:r])
 
 
 def read_coeff_file(path) -> CoeffPlane:
@@ -288,19 +342,23 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False):
     for rfst below FFT_MIN_SIZE, whose core holds its cascade), and its
     in_place flag picks the band layout.  The postprocessing's apply
     runs in place on an (M, n) view of the band's n segments: F-ordered
-    after the row pass, C-ordered after the column pass.
-    src, of any layout and dtype, is only read.  out is a C-contiguous
-    float64 plane of its shape, which the bands fill, or None: then a
-    band is built in a band-sized buffer that the next band reuses, so
-    a consumer takes each band before asking for the next.  The inverse
-    runs the adjoint passes in reverse order.
+    after the row pass, C-ordered after the column pass; without a
+    post, the column pass reads (inverse) or writes (forward) block
+    layout directly.  src, of any layout and dtype, is only read, one
+    slice of a band's rows at a time from the top, so it may also be
+    an RFC file's _Payload.  out is a C-contiguous float64 plane of its
+    shape, which the bands fill, or None: then a band is built in a
+    band-sized buffer that the next band reuses, so a consumer takes
+    each band before asking for the next.  The inverse runs the adjoint
+    passes in reverse order.
     """
     m = transform.size
     h, w = src.shape
-    if transform.post is None:
-        post = lambda v: None
-    else:
+    subband_major = transform.post is not None  # the column pass's layout, as post needs it
+    if subband_major:
         post = functools.partial(transform.post.apply, inverse=inverse)
+    else:
+        post = lambda v: None
     core = functools.partial(transform._along, inverse=inverse)
     rows = _band_rows(transform)
     if transform.in_place:  # bands of one block row, transformed in place on out or on one buffer
@@ -312,31 +370,36 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False):
     for top in range(0, h, rows):
         r = min(rows, h - top)
         n = r * w // m  # length-M segments per pass in this band
-        # the row pass leaves x segment-major, coefficient k of (n, M) at stride M; the
-        # column pass leaves y subband-major, subband k one contiguous row of (M, n)
+        src_band = src[top:top + r]
+        # the row pass leaves x segment-major, coefficient k of (n, M) at stride M
         if scratch is None:
             band = buffer if out is None else out[top:top + r]
             x = y = band.reshape(-1)
         else:
             x, y = scratch[:, :r * w]
             # streamed, a band is built in the scratch buffer that its last step frees
-            band = (y if inverse else x).reshape(r, w) if out is None else out[top:top + r]
+            free = x if subband_major and not inverse else y
+            band = free.reshape(r, w) if out is None else out[top:top + r]
         blocks = x.reshape(r // m, m, w)
-        subbands = y.reshape(m, r // m, w).transpose(1, 0, 2)
+        if subband_major:  # subband k one contiguous row of y as (M, n); block layout in place
+            columns = y.reshape(m, r // m, w).transpose(1, 0, 2)
+            if inverse:
+                np.copyto(columns, src_band.reshape(r // m, m, w))
+        else:  # the column pass reads or writes block layout directly
+            columns = (src_band if inverse else band).reshape(r // m, m, w)
         if inverse:
-            np.copyto(subbands, src[top:top + r].reshape(r // m, m, w))
             post(y.reshape(m, n))
-            core(subbands, blocks)
+            core(columns, blocks)
             post(x.reshape(n, m).T)
             core(x.reshape(n, m), band.reshape(n, m))
         else:
-            np.copyto(y.reshape(r, w), src[top:top + r])
+            np.copyto(y.reshape(r, w), src_band)
             core(y.reshape(n, m), x.reshape(n, m))
             post(x.reshape(n, m).T)
-            core(blocks, subbands)
+            core(blocks, columns)
             post(y.reshape(m, n))
-            if scratch is not None:
-                np.copyto(band.reshape(r // m, m, w), subbands)
+            if subband_major and scratch is not None:
+                np.copyto(band.reshape(r // m, m, w), columns)
         yield band
 
 
@@ -364,11 +427,11 @@ def _forward_bands(img: GrayImage, transform, out):
     return _blockwise_2d(img.pixels, out, transform)
 
 
-def _inverse_bands(coeffs: CoeffPlane, transform, out):
+def _inverse_bands(values, block: int, transform, out):
     m = _block_size(transform)
-    if m != coeffs.block:
-        raise ValueError(f"transform size {m} does not match plane block size {coeffs.block}")
-    return _blockwise_2d(coeffs.values, out, transform, inverse=True)
+    if m != block:
+        raise ValueError(f"transform size {m} does not match plane block size {block}")
+    return _blockwise_2d(values, out, transform, inverse=True)
 
 
 def forward_2d(img: GrayImage, transform) -> CoeffPlane:
@@ -381,7 +444,7 @@ def forward_2d(img: GrayImage, transform) -> CoeffPlane:
 def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
     """Exact adjoint of forward_2d; returns the real-valued plane, no rounding."""
     plane = np.empty(coeffs.values.shape)
-    return _fill(_inverse_bands(coeffs, transform, plane), plane)
+    return _fill(_inverse_bands(coeffs.values, coeffs.block, transform, plane), plane)
 
 
 def _forward_file(img: GrayImage, transform, path) -> None:
@@ -396,18 +459,20 @@ def _forward_file(img: GrayImage, transform, path) -> None:
         _write(f, header, bands, "<f8")
 
 
-def _inverse_file(coeffs: CoeffPlane, transform, path) -> None:
-    """Write inverse_2d(coeffs, transform), rounded and clipped to 8 bits, to path as a PGM.
+def _inverse_file(payload: _Payload, transform, path) -> None:
+    """Write the inverse of an RFC file's plane, rounded and clipped to 8 bits, to path as a PGM.
 
-    Each band is rounded and written while it is in cache, so beside
-    coeffs only band-sized buffers are held.  If anything fails, no
-    partial file is left.
+    Each band is read, checked, inverted, rounded and written while it
+    is in cache, so only band-sized buffers are held.  If anything
+    fails, a bad value late in the file included, no partial file is
+    left.
     """
-    bands = _inverse_bands(coeffs, transform, None)
+    bands = _inverse_bands(payload, payload.block, transform, None)
     # each band is rounded in place, then converted to uint8 as it is written
     rounded = (np.clip(np.rint(band, out=band), 0, 255, out=band) for band in bands)
+    height, width = payload.shape
     with _output(path) as f:
-        _write(f, _pgm_header(coeffs.width, coeffs.height), rounded, np.uint8)
+        _write(f, _pgm_header(width, height), rounded, np.uint8)
 
 
 def subband_energy(coeffs: CoeffPlane) -> np.ndarray:

@@ -348,17 +348,21 @@ def test_image_checks_its_input_before_building(tmp_path, capsys, monkeypatch, a
     assert not out.exists()
 
 
-@pytest.mark.parametrize("rows,cols,block", (
-    (2 * BAND_ROWS + 8, 48, 8),  # the dense core, ending in a partial band
-    (2 * FFT_MIN_SIZE, FFT_MIN_SIZE, FFT_MIN_SIZE),  # the FFT core, two block rows
-), ids=("8-bands", "fft"))
-def test_streamed_image_commands_match_the_library(tmp_path, capsys, rows, cols, block):
+@pytest.mark.parametrize("transform,rows,cols,block", (
+    # the dense core, ending in a partial band: rfst's folded matrix and two plain matrices
+    pytest.param("rfst", 2 * BAND_ROWS + 8, 48, 8, id="8-bands"),
+    pytest.param("dct", 2 * BAND_ROWS + 8, 48, 8, id="dct-8-bands"),
+    pytest.param("ht", 2 * BAND_ROWS + 8, 48, 8, id="ht-8-bands"),
+    # the FFT core, two block rows
+    pytest.param("rfst", 2 * FFT_MIN_SIZE, FFT_MIN_SIZE, FFT_MIN_SIZE, id="fft"),
+))
+def test_streamed_image_commands_match_the_library(tmp_path, capsys, transform, rows, cols, block):
     img = GrayImage(np.random.default_rng(52).integers(0, 256, size=(rows, cols), dtype=np.uint8))
     src, coeff, back = tmp_path / "in.pgm", tmp_path / "c.rfc", tmp_path / "out.pgm"
     write_pgm(img, src)
-    opts = ("--transform", "rfst", "--block", str(block))
+    opts = ("--transform", transform, "--block", str(block))
     assert run(capsys, "image", "forward", *opts, "--in", str(src), "--out", str(coeff))[0] == 0
-    t = rfst(block)
+    t = cli.TRANSFORMS[transform](block)
     plane = forward_2d(img, t)
 
     def written(write, obj):  # the library's file for obj
@@ -373,6 +377,54 @@ def test_streamed_image_commands_match_the_library(tmp_path, capsys, rows, cols,
     assert back.read_bytes() == written(write_pgm, GrayImage(pixels)) == src.read_bytes()
     assert run(capsys, "image", "mosaic", *opts, "--in", str(src), "--out", str(back))[0] == 0
     assert back.read_bytes() == written(write_pgm, subband_mosaic(plane))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf), ids=("nan", "inf"))
+def test_image_inverse_rejects_a_bad_value_in_the_last_band(tmp_path, capsys, monkeypatch, bad):
+    # three bands of BAND_ROWS rows: the bad value is read after the first two reached the PGM
+    values = np.zeros((3 * BAND_ROWS, 16))
+    values[-1, 5] = bad
+    coeff, out = tmp_path / "c.rfc", tmp_path / "o.pgm"
+    write_coeff_file(imaging.CoeffPlane(values, block=8), coeff)
+    written = []
+    write = imaging._write
+
+    def counting(f, header, bands, dtype):  # _write, counting the bands it is handed
+        write(f, header, (written.append(band) or band for band in bands), dtype)
+
+    monkeypatch.setattr(imaging, "_write", counting)
+    code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst",
+                            "--block", "8", "--in", str(coeff), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == "rfst: error: coefficient payload holds NaN or infinite values\n"
+    assert len(written) == 2
+    assert not out.exists()
+
+
+def test_image_inverse_rejects_a_payload_that_shrinks_while_read(tmp_path, capsys, monkeypatch):
+    coeff, out = tmp_path / "c.rfc", tmp_path / "o.pgm"
+    write_coeff_file(imaging.CoeffPlane(np.zeros((3 * BAND_ROWS, 16)), block=8), coeff)
+
+    class Shrinking(io.BytesIO):
+        """The file, whose second band read comes up 8 bytes short."""
+
+        reads = 0
+
+        def readinto(self, buffer):
+            self.reads += 1
+            view = memoryview(buffer).cast("B")
+            return super().readinto(view[:-8] if self.reads == 2 else view)
+
+    def opened(path, mode="r"):
+        assert (path, mode) == (str(coeff), "rb")
+        return Shrinking(coeff.read_bytes())
+
+    monkeypatch.setattr(cli, "open", opened, raising=False)
+    code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst",
+                            "--block", "8", "--in", str(coeff), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == "rfst: error: truncated coefficient payload\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("where", ("band-loop", "write"))
@@ -422,10 +474,23 @@ def test_image_inverse_refuses_a_pipe(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("action,planes", (("forward", 0.45), ("inverse", 1.3), ("mosaic", 1.6)))
+def test_image_inverse_refuses_to_write_over_its_input(tmp_path, capsys):
+    _, coeff = _forward_rfst_file(tmp_path, capsys)
+    blob = coeff.read_bytes()
+    (tmp_path / "link.rfc").symlink_to(coeff)
+    for out in (coeff, tmp_path / "link.rfc"):
+        code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst", "--block", "8",
+                                "--in", str(coeff), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == ("rfst: error: --out names the --in file, which image inverse reads as it "
+                       "writes\n")
+        assert coeff.read_bytes() == blob
+
+
+@pytest.mark.parametrize("action,planes", (("forward", 0.45), ("inverse", 0.45), ("mosaic", 1.6)))
 def test_image_commands_hold_no_extra_plane(tmp_path, capsys, action, planes):
     # forward: the uint8 image (1/8 plane) and two band buffers (2 x 64 of 512 rows, 1/4 plane);
-    # inverse: the coefficient plane, the same band buffers and one uint8 band;
+    # inverse: the band the file is read into, the two band buffers and one uint8 band (3/8 + 1/64);
     # mosaic: the uint8 image, the band buffers, the mosaic plane and its uint8 copy
     img = GrayImage(np.random.default_rng(53).integers(0, 256, size=(512, 768), dtype=np.uint8))
     src, coeff, back = tmp_path / "in.pgm", tmp_path / "c.rfc", tmp_path / "out.pgm"

@@ -285,6 +285,17 @@ def test_inverse_matches_per_block_oracle(m, rows, cols, tol):
         assert np.abs(plane - expected).max() <= tol
 
 
+@pytest.mark.parametrize("t", (rfst(8), dct2(16), hadamard(8), rfst(FFT_MIN_SIZE)),
+                         ids=("rfst-8", "dct-16", "ht-8", "rfst-fft"))
+def test_inverse_is_bit_identical_for_every_plane_layout(t):
+    # below FFT_MIN_SIZE the column pass reads the plane where it lies, in block layout
+    rng = np.random.default_rng(58)
+    values = rng.standard_normal((2 * max(BAND_ROWS, t.size) + t.size, 3 * t.size)) * 100.0
+    expected = inverse_2d(CoeffPlane(values, block=t.size), t)
+    for layout in _LAYOUTS[1:]:
+        assert np.array_equal(inverse_2d(CoeffPlane(layout(values), block=t.size), t), expected)
+
+
 def test_fft_and_dense_cores_agree_at_large_blocks(monkeypatch):
     # 2048^2 at M = 1024: coefficients reach 255 M = 2.6e5, whose ulp is 5.8e-11;
     # the two cores differed by 7.3e-11 forward and 1.4e-12 in the round trip
