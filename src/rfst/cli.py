@@ -159,7 +159,7 @@ def _cmd_image(args) -> int:
     if args.action == "forward":
         imaging._forward_file(img, transform, args.out)
     else:  # mosaic
-        bands = imaging._forward_bands(img, transform, None)
+        bands = imaging._forward_bands(img, transform)
         imaging.write_pgm(imaging._mosaic(bands, img.pixels.shape, args.block), args.out)
     return 0
 

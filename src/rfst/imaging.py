@@ -34,6 +34,18 @@ runs after the dense core, on the bench's _Unfolded route below, does
 a band pass through that subband-major layout and get copied between
 it and block layout.  BAND_ROWS was measured once and is fixed.
 
+forward_2d and inverse_2d share a plane's bands between worker
+threads, by default one per CPU the process may run on and at most one
+per WORKER_MIN_PIXELS pixels of the plane: the rows are split into
+contiguous runs of whole bands, each a band loop of its own on its rows
+of the input and of the output plane, and the calling thread runs the
+first.  Bands share no memory, and numpy's matmul and
+scipy.fft's DST release the GIL.  On the dense core a worker's band is
+BAND_ROWS // workers rows, or M if larger, so the workers together
+hold the scratch buffers of one serial loop; the outputs are the same
+for every worker count.  The streamed image commands and the bench run
+one worker.
+
 The bench adds a third route, _Unfolded, the paper's: the sine core
 rfst ships at M, then the postprocessing as a pass of its own at every
 M.  It times the cascade and rdst.DenseHalf, the dense half-size
@@ -64,6 +76,9 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import operator
+import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,10 +91,11 @@ from .transforms import KINDS, OrthonormalTransform, _check_size
 
 COEFF_MAGIC = b"RFC2"
 
-# Rows per band of the dense core, or M if larger: rows, not bytes, so outputs
-# do not depend on the machine; at 64 rows of 2048 columns the two scratch
-# buffers fill this host's 2 MiB L2.  Ranges of 6 medians of 11 calls (same
-# host, 2048^2, ms), and criterion 9's margin, bench_postprocessing(8, 512, 25):
+# Rows per band of the dense core, or M if larger, split between the workers
+# that share a plane (_band_rows): rows, not bytes, so outputs do not depend on
+# the machine; at 64 rows of 2048 columns the two scratch buffers fill a 2 MiB
+# L2.  Ranges of 6 medians of 11 one-worker calls (a shared 2-core x86-64 host,
+# 2048^2, ms), and criterion 9's margin, bench_postprocessing(8, 512, 25):
 #   rows       16      32      64     128     256    2048
 #   M=8 fwd  23-32   25-31   23-33   26-35   29-37   56-64
 #       inv  22-26   20-28   23-31   29-35   30-34   52-61
@@ -87,6 +103,18 @@ COEFF_MAGIC = b"RFC2"
 #       inv                  48-66   54-64   63-75   82-93
 #   margin   6-10%  13-18%  14-23%  24-26%                  (512 rows: 21-25%)
 BAND_ROWS = 64
+
+# Pixels per worker, at least, when forward_2d/inverse_2d pick the worker count:
+# on a small plane, starting a thread and handing the GIL between the workers'
+# band loops cost more than the second worker saves.  Medians of 3 runs of
+# forward_2d/inverse_2d, one against two workers (a shared 2-core x86-64 host,
+# one BLAS thread, each pair followed by a plane-sized temporary, ms):
+#   plane         M=8                  M=64                 M=256
+#   256^2   0.17/0.09 0.32/0.23
+#   512^2   0.92/0.55 1.54/1.07  1.74/1.71 1.89/1.68  4.05/4.16 4.53/4.54
+#   1024^2  2.70/1.80 2.80/1.75  6.99/6.67 6.92/6.70  24.3/25.6 14.4/14.3
+#   2048^2  20.8/21.2 11.8/8.7
+WORKER_MIN_PIXELS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -327,12 +355,19 @@ def _block_size(transform) -> int:
     return transform.size
 
 
-def _band_rows(transform) -> int:
-    """Rows per band: one block row when the core runs in place, else max(BAND_ROWS, M)."""
-    return transform.size if transform.in_place else max(BAND_ROWS, transform.size)
+def _band_rows(transform, workers: int = 1) -> int:
+    """Rows per band of each of workers workers that share a plane.
+
+    One block row when the core runs in place.  Otherwise
+    max(BAND_ROWS // workers, M), rounded down to a multiple of M, so
+    that wherever M <= BAND_ROWS // workers the workers' scratch buffers
+    together are no larger than those of one worker alone.
+    """
+    m = transform.size
+    return m if transform.in_place else max(BAND_ROWS // workers, m) // m * m
 
 
-def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False):
+def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, rows: int = 0):
     """Yield each band of block rows of the block transform of src as soon as it is finished.
 
     The transform is the core, then postprocessing, along rows, then
@@ -349,8 +384,9 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False):
     an RFC file's _Payload.  out is a C-contiguous float64 plane of its
     shape, which the bands fill, or None: then a band is built in a
     band-sized buffer that the next band reuses, so a consumer takes
-    each band before asking for the next.  The inverse runs the adjoint
-    passes in reverse order.
+    each band before asking for the next.  rows is the band height,
+    _band_rows(transform) if 0.  The inverse runs the adjoint passes in
+    reverse order.
     """
     m = transform.size
     h, w = src.shape
@@ -360,7 +396,7 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False):
     else:
         post = lambda v: None
     core = functools.partial(transform._along, inverse=inverse)
-    rows = _band_rows(transform)
+    rows = rows or _band_rows(transform)
     if transform.in_place:  # bands of one block row, transformed in place on out or on one buffer
         scratch = None
         buffer = np.empty((m, w)) if out is None else None
@@ -410,6 +446,76 @@ def _fill(bands, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_workers(workers, shape) -> int:
+    """workers as a count for a plane of the given shape; workers is None or a positive integer.
+
+    None is one worker per CPU this process may run on, and at most one
+    per WORKER_MIN_PIXELS pixels of the plane.
+    """
+    if workers is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        return max(1, min(cpus, shape[0] * shape[1] // WORKER_MIN_PIXELS))
+    try:
+        count = operator.index(workers)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"workers must be a positive integer or None, got {workers!r}")
+    return count
+
+
+def _in_threads(runs) -> None:
+    """Call every one of runs, the first in this thread and each other in a thread of its own.
+
+    Every thread is joined before this returns or raises; the first
+    error, in the order of runs, is raised.
+    """
+    errors = [None] * len(runs)
+
+    def call(i):
+        try:
+            runs[i]()
+        except BaseException as error:  # raised again in the calling thread, below
+            errors[i] = error
+
+    threads = []
+    try:
+        for i in range(1, len(runs)):
+            thread = threading.Thread(target=call, args=(i,), name=f"rfst-bands-{i}")
+            thread.start()
+            threads.append(thread)
+        runs[0]()
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _fill_in_threads(src, out: np.ndarray, transform, inverse: bool, workers: int) -> np.ndarray:
+    """Run the band loop from src into out, a whole plane, on up to workers threads; returns out.
+
+    Bands are _band_rows(transform, workers) tall, and the plane's rows
+    are split into contiguous runs of whole bands, one per worker and
+    never more runs than bands: each run is a band loop of its own on
+    its rows of src and out.  One worker is the serial loop.
+    """
+    rows = _band_rows(transform, workers)
+    h = src.shape[0]
+    bands = -(-h // rows)
+    workers = min(workers, bands)
+    if workers > 1 and not transform.in_place:
+        # the dense core builds its matrix on first use: build it here, once for every worker
+        empty = np.empty((0, transform.size))
+        transform._along(empty, empty.copy(), inverse)
+    cuts = [min(h, i * bands // workers * rows) for i in range(workers + 1)]
+    runs = [functools.partial(_fill, _blockwise_2d(src[a:b], out[a:b], transform, inverse, rows), None)
+            for a, b in zip(cuts, cuts[1:])]
+    _in_threads(runs)
+    return out
+
+
 def _check_divisible(shape, m: int) -> None:
     h, w = shape
     if h <= 0 or w <= 0:
@@ -421,30 +527,43 @@ def _check_divisible(shape, m: int) -> None:
         )
 
 
-def _forward_bands(img: GrayImage, transform, out):
-    m = _block_size(transform)
-    _check_divisible(img.pixels.shape, m)
-    return _blockwise_2d(img.pixels, out, transform)
+def _forward_bands(img: GrayImage, transform):
+    """forward_2d's band loop with no output plane, after forward_2d's checks."""
+    _check_divisible(img.pixels.shape, _block_size(transform))
+    return _blockwise_2d(img.pixels, None, transform)
 
 
-def _inverse_bands(values, block: int, transform, out):
+def _check_inverse(block: int, transform) -> None:
     m = _block_size(transform)
     if m != block:
         raise ValueError(f"transform size {m} does not match plane block size {block}")
-    return _blockwise_2d(values, out, transform, inverse=True)
 
 
-def forward_2d(img: GrayImage, transform) -> CoeffPlane:
-    """Blockwise T B T' of an image: row pass, then column pass."""
+def forward_2d(img: GrayImage, transform, workers: int | None = None) -> CoeffPlane:
+    """Blockwise T B T' of an image: row pass, then column pass.
+
+    workers threads share the plane's bands, each of them on rows of
+    its own, and never more threads than bands.  None means one per
+    CPU this process may run on (os.sched_getaffinity), and at most
+    one per WORKER_MIN_PIXELS pixels.  The output does not depend on
+    workers.
+    """
+    _check_divisible(img.pixels.shape, _block_size(transform))
+    workers = _check_workers(workers, img.pixels.shape)
     values = np.empty(img.pixels.shape)
-    _fill(_forward_bands(img, transform, values), values)
+    _fill_in_threads(img.pixels, values, transform, False, workers)
     return CoeffPlane(values, block=transform.size, kind=transform.kind)
 
 
-def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
-    """Exact adjoint of forward_2d; returns the real-valued plane, no rounding."""
+def inverse_2d(coeffs: CoeffPlane, transform, workers: int | None = None) -> np.ndarray:
+    """Exact adjoint of forward_2d; returns the real-valued plane, no rounding.
+
+    workers is as for forward_2d.
+    """
+    _check_inverse(coeffs.block, transform)
+    workers = _check_workers(workers, coeffs.values.shape)
     plane = np.empty(coeffs.values.shape)
-    return _fill(_inverse_bands(coeffs.values, coeffs.block, transform, plane), plane)
+    return _fill_in_threads(coeffs.values, plane, transform, True, workers)
 
 
 def _forward_file(img: GrayImage, transform, path) -> None:
@@ -453,7 +572,7 @@ def _forward_file(img: GrayImage, transform, path) -> None:
     Each band goes to the file while it is in cache; no coefficient
     plane is held.  If anything fails, no partial file is left.
     """
-    bands = _forward_bands(img, transform, None)
+    bands = _forward_bands(img, transform)
     header = _coeff_header(img.pixels.shape, transform.size, transform.kind)
     with _output(path) as f:
         _write(f, header, bands, "<f8")
@@ -467,7 +586,8 @@ def _inverse_file(payload: _Payload, transform, path) -> None:
     fails, a bad value late in the file included, no partial file is
     left.
     """
-    bands = _inverse_bands(payload, payload.block, transform, None)
+    _check_inverse(payload.block, transform)
+    bands = _blockwise_2d(payload, None, transform, inverse=True)
     # each band is rounded in place, then converted to uint8 as it is written
     rounded = (np.clip(np.rint(band, out=band), 0, 255, out=band) for band in bands)
     height, width = payload.shape
@@ -608,9 +728,11 @@ def bench_postprocessing(
     the even coefficients, in the cascade's place.  The third median,
     shipped_median_s, times rfst(m) as forward_2d runs it: below
     FFT_MIN_SIZE one product with the folded matrix, the same route as
-    the cascade's from there on.  Every loaded OpenBLAS is held at one
-    thread for the timed region, and blas_pinning records how (or
-    "unpinned"); band_rows is the band height the pipeline ran.
+    the cascade's from there on.  Every route runs on one worker, the
+    calling thread, since the medians compare postprocessing styles,
+    not thread counts.  Every loaded OpenBLAS is held at one thread for
+    the timed region, and blas_pinning records how (or "unpinned");
+    band_rows is the band height the pipeline ran.
     Reports the medians, the difference of the first two, and the max
     absolute discrepancy between the cascade's and the dense half's
     coefficient planes.  repeats >= 1; image_size a positive multiple

@@ -11,6 +11,7 @@ agree up to row order and row signs.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -182,14 +183,14 @@ class DenseHalf:
     was: the R-DST's fast form, which the timing bench and the op
     counter run through the same calls as the cascade.  Unlike the
     cascade, the product needs an array as large as its input, so apply
-    keeps one per input shape and layout and an instance must not be
-    shared between threads.  A fresh array per call is returned to the
-    OS and faulted in again each time; that made the bench's dense half
-    8-15% slower against the cascade at M = 256 and 1024.
+    keeps one per input shape and layout, and per thread, so that
+    threads may share an instance.  A fresh array per call is returned
+    to the OS and faulted in again each time; that made the bench's
+    dense half 8-15% slower against the cascade at M = 256 and 1024.
     """
 
     matrix: np.ndarray
-    _products: dict = field(default_factory=dict, init=False, repr=False)
+    _local: threading.local = field(default_factory=threading.local, init=False, repr=False)
 
     @property
     def target_size(self) -> int:
@@ -198,9 +199,10 @@ class DenseHalf:
     def apply(self, v, inverse: bool = False):
         """Replace the even coefficients of v, a vector or an (M, n) block, in place; return v."""
         even = v[0::2]
+        products = vars(self._local).setdefault("products", {})  # this thread's
         key = (even.shape, even.strides, even.dtype)
-        if key not in self._products:
-            self._products[key] = np.empty_like(even)  # in even's layout
+        if key not in products:
+            products[key] = np.empty_like(even)  # in even's layout
         pp = self.matrix.T if inverse else self.matrix
-        even[...] = apply_half_postprocessing(pp, even, self._products[key])
+        even[...] = apply_half_postprocessing(pp, even, products[key])
         return v

@@ -1,8 +1,12 @@
 """Image I/O, separable block transforms, mosaics, and the timing harness."""
 
+import contextlib
+import functools
 import io
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +29,7 @@ from rfst.imaging import (
     write_coeff_file,
     write_pgm,
 )
+from rfst.rdst import DenseHalf, half_postprocessing_matrix
 from rfst.regularity import FFT_MIN_SIZE, FastRegularTransform, rfst
 from rfst.transforms import KINDS, dct2, dst2, hadamard
 
@@ -341,10 +346,13 @@ def test_fft_route_reads_neither_the_dense_core_nor_the_folded_matrix(monkeypatc
     assert np.abs(inverse_2d(forward_2d(img, t), t) - img.pixels).max() <= 1e-9
 
 
-@pytest.mark.parametrize("m,planes", ((8, 1.3), (FFT_MIN_SIZE, 1.1)))
-def test_2d_pipeline_holds_at_most_two_planes(m, planes):
+@pytest.mark.parametrize("m,planes,workers", [
+    pytest.param(m, planes, workers, id=f"{m}-{planes}" + ("" if workers == 1 else f"-{workers}-workers"))
+    for m, planes in ((8, 1.3), (FFT_MIN_SIZE, 1.1)) for workers in (1, 2)])
+def test_2d_pipeline_holds_at_most_two_planes(m, planes, workers):
     # the output plane and, on the dense core, two band-sized scratch buffers:
-    # 2 x 64 of 512 rows is 1.25 planes; the FFT core works in place on its output
+    # 2 x 64 of 512 rows is 1.25 planes, and two workers hold two of 32 rows
+    # each; the FFT core works in place on its output
     rng = np.random.default_rng(48)
     img = _random_image(rng, 512, 768)
     t = rfst(m)
@@ -353,7 +361,7 @@ def test_2d_pipeline_holds_at_most_two_planes(m, planes):
     for call, arg in ((forward_2d, img), (inverse_2d, coeffs)):
         tracemalloc.start()
         try:
-            call(arg, t)
+            call(arg, t, workers=workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -372,6 +380,148 @@ def test_outputs_do_not_depend_on_band_height(monkeypatch, maker, m):
         coeffs = forward_2d(img, t)
         assert np.array_equal(coeffs.values, shipped.values)
         assert np.array_equal(inverse_2d(coeffs, t), plane)
+
+
+def _dense_half(m):
+    return FastRegularTransform(DenseHalf(half_postprocessing_matrix(m)))
+
+
+# (transform, block rows): every route of the pipeline, on planes whose band count is
+# a multiple of none of the worker counts.  At M = 8 the bands of 1, 2, 3 and 5 workers
+# are 64, 32, 16 and 8 rows: 2, 3, 5 and 9 bands of 72 rows; from FFT_MIN_SIZE on a
+# band is one block row, 7 of them
+_WORKER_CASES = [
+    pytest.param(make, m, 9 if m == 8 else 7, id=f"{name}-{m}")
+    for name, make, m in (
+        ("rfst", rfst, 8),
+        ("dct", dct2, 8),
+        ("ht", hadamard, 8),
+        ("unfolded", lambda m: imaging._Unfolded(rfst(m).cascade), 8),
+        ("dense-half", _dense_half, 8),
+        ("rfst", rfst, FFT_MIN_SIZE),
+        ("dense-half", _dense_half, FFT_MIN_SIZE),
+    )
+]
+
+
+@pytest.mark.parametrize("make,m,block_rows", _WORKER_CASES)
+def test_outputs_do_not_depend_on_workers(make, m, block_rows):
+    rng = np.random.default_rng(60)
+    img = _random_image(rng, block_rows * m, 2 * m if m > 8 else 48)
+    t = make(m)
+    coeffs = forward_2d(img, t, workers=1)
+    plane = inverse_2d(coeffs, t, workers=1)
+    for workers in (2, 3, 5):
+        assert np.array_equal(forward_2d(img, t, workers=workers).values, coeffs.values), workers
+        assert np.array_equal(inverse_2d(coeffs, t, workers=workers), plane), workers
+
+
+@pytest.mark.parametrize("workers", (0, -1, 1.5, "2"))
+def test_workers_must_be_a_positive_integer(workers):
+    img = _random_image(np.random.default_rng(61), 64, 64)
+    coeffs = forward_2d(img, rfst(8))
+    with pytest.raises(ValueError, match="workers"):
+        forward_2d(img, rfst(8), workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        inverse_2d(coeffs, rfst(8), workers=workers)
+
+
+def test_default_workers_are_the_cpus_this_process_may_use(monkeypatch):
+    # one per CPU in the affinity mask, at most one per WORKER_MIN_PIXELS pixels;
+    # one where the mask cannot be read
+    monkeypatch.setattr(imaging.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    for shape, workers in (((8, 8), 1), ((1024, 512), 1), ((1024, 1024), 2), ((2048, 2048), 3)):
+        assert imaging._check_workers(None, shape) == workers, shape
+    assert imaging._check_workers(5, (8, 8)) == 5
+    monkeypatch.delattr(imaging.os, "sched_getaffinity")
+    assert imaging._check_workers(None, (2048, 2048)) == 1
+
+
+@pytest.mark.parametrize("workers", (None, 8))
+def test_a_one_band_plane_starts_no_thread(monkeypatch, workers):
+    def no_thread(*args, **kwargs):
+        pytest.fail("a thread was started for a plane of one band")
+
+    monkeypatch.setattr(imaging.threading, "Thread", no_thread)
+    for m in (8, FFT_MIN_SIZE):
+        img = _random_image(np.random.default_rng(62), m, 2 * m)
+        t = rfst(m)
+        assert np.abs(inverse_2d(forward_2d(img, t, workers), t, workers) - img.pixels).max() <= 1e-9
+
+
+def test_every_worker_thread_is_joined(monkeypatch):
+    # the core sleeps in the worker threads, so a worker still running when the call
+    # returns or raises would be counted; with fail set, the second core call in a
+    # worker fails, and the caller gets that error
+    img = _random_image(np.random.default_rng(63), 3 * BAND_ROWS, 48)
+    t = rfst(8)
+    coeffs = forward_2d(img, t, workers=1)
+    caller, calls, lock = threading.current_thread(), [], threading.Lock()
+    along = FastRegularTransform._along
+
+    def slow(self, x, y, inverse=False, fail=False):
+        if threading.current_thread() is not caller:
+            time.sleep(0.005)
+            with lock:
+                calls.append(1)
+                if fail and len(calls) == 2:
+                    raise RuntimeError("the second call failed")
+        along(self, x, y, inverse)
+
+    baseline = threading.active_count()
+    for fail in (False, True):
+        monkeypatch.setattr(FastRegularTransform, "_along", functools.partialmethod(slow, fail=fail))
+        for call, arg in ((forward_2d, img), (inverse_2d, coeffs)):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="second call") if fail else contextlib.nullcontext():
+                call(arg, t, workers=5)
+            assert calls and threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("make", (rfst, lambda m: imaging._Unfolded(rfst(m).cascade)),
+                         ids=("rfst", "unfolded"))
+def test_a_cold_transform_builds_its_dense_matrices_once(monkeypatch, make):
+    # (size, threads alive) per build: one build, made before any worker started
+    dst2_calls = []
+    real = regularity.dst2
+    monkeypatch.setattr(regularity, "dst2",
+                        lambda m: dst2_calls.append((m, threading.active_count())) or real(m))
+    img = _random_image(np.random.default_rng(64), 2 * BAND_ROWS, 48)
+    t = make(8)
+    baseline = threading.active_count()
+    inverse_2d(forward_2d(img, t, workers=2), t, workers=2)
+    assert dst2_calls == [(8, baseline)]
+
+
+_RACE_CODE = """
+import hashlib, sys
+import numpy as np
+import rfst
+from rfst.rdst import DenseHalf, half_postprocessing_matrix
+from rfst.regularity import FFT_MIN_SIZE, FastRegularTransform
+sys.setswitchinterval(1e-6)
+rng = np.random.default_rng(65)
+for t, rows in ((rfst.rfst(8), 512), (rfst.rfst(FFT_MIN_SIZE), 4 * FFT_MIN_SIZE),
+                (FastRegularTransform(DenseHalf(half_postprocessing_matrix(FFT_MIN_SIZE))),
+                 4 * FFT_MIN_SIZE)):
+    img = rfst.GrayImage(rng.integers(0, 256, size=(rows, 2 * FFT_MIN_SIZE), dtype=np.uint8))
+    coeffs = rfst.forward_2d(img, t, workers=1)
+    plane = rfst.inverse_2d(coeffs, t, workers=1)
+    for _ in range(3):
+        got = (rfst.forward_2d(img, t, workers=4).values, rfst.inverse_2d(coeffs, t, workers=4))
+        print(*(hashlib.sha256(a.tobytes()).hexdigest() == hashlib.sha256(b.tobytes()).hexdigest()
+                for a, b in zip(got, (coeffs.values, plane))))
+"""
+
+
+def test_workers_race_nothing_under_a_short_switch_interval():
+    # the interpreter switches threads every microsecond, so any state that the
+    # workers share without a lock would be raced
+    src = str(Path(imaging.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r})\n" + _RACE_CODE
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.split() == ["True"] * 18
 
 
 @pytest.mark.parametrize("m", (8, FFT_MIN_SIZE))

@@ -208,20 +208,24 @@ def test_2d_pipeline_makes_one_blas_call_per_reflection_per_pass(monkeypatch):
     # on the bench's unfolded route the dense core's row pass runs the cascade on the
     # stride-8 columns of each band (drotm), its column pass on the band's subband-major
     # rows (dscal + drot); one call per block row would make 8 column-pass calls per
-    # reflection on 64 rows.  rfst(8) itself folds the cascade into its matrix: no call
+    # reflection on 64 rows.  rfst(8) itself folds the cascade into its matrix: no call.
+    # Two workers split the plane into bands of half the height, so each pass makes
+    # one call per reflection per band of 32 rows
     calls = {name: _counting(monkeypatch, name) for name in ("drotm", "drot")}
     unfolded, folded = _Unfolded(rfst(8).cascade), rfst(8)
-    for rows, bands in ((64, 1), (3 * BAND_ROWS, 3)):
-        img = GrayImage(np.random.default_rng(10).integers(0, 256, size=(rows, 48), dtype=np.uint8))
-        for t, count in ((unfolded, 3 * bands), (folded, 0)):
-            for c in calls.values():
-                c.clear()
-            coeffs = forward_2d(img, t)
-            assert {name: len(c) for name, c in calls.items()} == {"drotm": count, "drot": count}
-            for c in calls.values():
-                c.clear()
-            inverse_2d(coeffs, t)
-            assert {name: len(c) for name, c in calls.items()} == {"drotm": count, "drot": count}
+    for workers, band_rows in ((1, BAND_ROWS), (2, BAND_ROWS // 2)):
+        for rows in (64, 3 * BAND_ROWS):
+            bands = rows // band_rows
+            img = GrayImage(np.random.default_rng(10).integers(0, 256, size=(rows, 48), dtype=np.uint8))
+            for t, count in ((unfolded, 3 * bands), (folded, 0)):
+                for c in calls.values():
+                    c.clear()
+                coeffs = forward_2d(img, t, workers=workers)
+                assert {name: len(c) for name, c in calls.items()} == {"drotm": count, "drot": count}
+                for c in calls.values():
+                    c.clear()
+                inverse_2d(coeffs, t, workers=workers)
+                assert {name: len(c) for name, c in calls.items()} == {"drotm": count, "drot": count}
 
 
 def test_cascade_validates_reflection_range():
