@@ -35,16 +35,15 @@ a band pass through that subband-major layout and get copied between
 it and block layout.  BAND_ROWS was measured once and is fixed.
 
 forward_2d and inverse_2d share a plane's bands between worker
-threads, by default one per CPU the process may run on and at most one
-per WORKER_MIN_PIXELS pixels of the plane: the rows are split into
+threads, one per CPU the process may run on: the rows are split into
 contiguous runs of whole bands, each a band loop of its own on its rows
 of the input and of the output plane, and the calling thread runs the
-first.  Bands share no memory, and numpy's matmul and
-scipy.fft's DST release the GIL.  On the dense core a worker's band is
-BAND_ROWS // workers rows, or M if larger, so the workers together
-hold the scratch buffers of one serial loop; the outputs are the same
-for every worker count.  The streamed image commands and the bench run
-one worker.
+first.  Bands share no memory, and numpy's matmul and scipy.fft's DST
+release the GIL.  On the dense core a worker's band is BAND_ROWS //
+workers rows, or M if larger, and there are never more workers than
+max(BAND_ROWS, M) // M, so the workers together hold no more scratch
+than one serial loop; the outputs are the same for every worker count.
+The streamed image commands and the bench run one worker.
 
 The bench adds a third route, _Unfolded, the paper's: the sine core
 rfst ships at M, then the postprocessing as a pass of its own at every
@@ -76,7 +75,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
-import operator
 import os
 import threading
 import time
@@ -103,18 +101,6 @@ COEFF_MAGIC = b"RFC2"
 #       inv                  48-66   54-64   63-75   82-93
 #   margin   6-10%  13-18%  14-23%  24-26%                  (512 rows: 21-25%)
 BAND_ROWS = 64
-
-# Pixels per worker, at least, when forward_2d/inverse_2d pick the worker count:
-# on a small plane, starting a thread and handing the GIL between the workers'
-# band loops cost more than the second worker saves.  Medians of 3 runs of
-# forward_2d/inverse_2d, one against two workers (a shared 2-core x86-64 host,
-# one BLAS thread, each pair followed by a plane-sized temporary, ms):
-#   plane         M=8                  M=64                 M=256
-#   256^2   0.17/0.09 0.32/0.23
-#   512^2   0.92/0.55 1.54/1.07  1.74/1.71 1.89/1.68  4.05/4.16 4.53/4.54
-#   1024^2  2.70/1.80 2.80/1.75  6.99/6.67 6.92/6.70  24.3/25.6 14.4/14.3
-#   2048^2  20.8/21.2 11.8/8.7
-WORKER_MIN_PIXELS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -360,8 +346,9 @@ def _band_rows(transform, workers: int = 1) -> int:
 
     One block row when the core runs in place.  Otherwise
     max(BAND_ROWS // workers, M), rounded down to a multiple of M, so
-    that wherever M <= BAND_ROWS // workers the workers' scratch buffers
-    together are no larger than those of one worker alone.
+    that while workers <= max(BAND_ROWS, M) // M, as _fill_in_threads
+    keeps it, the workers' scratch buffers together are no larger than
+    those of one worker alone.
     """
     m = transform.size
     return m if transform.in_place else max(BAND_ROWS // workers, m) // m * m
@@ -446,24 +433,6 @@ def _fill(bands, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_workers(workers, shape) -> int:
-    """workers as a count for a plane of the given shape; workers is None or a positive integer.
-
-    None is one worker per CPU this process may run on, and at most one
-    per WORKER_MIN_PIXELS pixels of the plane.
-    """
-    if workers is None:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        return max(1, min(cpus, shape[0] * shape[1] // WORKER_MIN_PIXELS))
-    try:
-        count = operator.index(workers)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"workers must be a positive integer or None, got {workers!r}")
-    return count
-
-
 def _in_threads(runs) -> None:
     """Call every one of runs, the first in this thread and each other in a thread of its own.
 
@@ -493,21 +462,28 @@ def _in_threads(runs) -> None:
             raise error
 
 
-def _fill_in_threads(src, out: np.ndarray, transform, inverse: bool, workers: int) -> np.ndarray:
-    """Run the band loop from src into out, a whole plane, on up to workers threads; returns out.
+def _fill_in_threads(src, out: np.ndarray, transform, inverse: bool) -> np.ndarray:
+    """Run the band loop from src into out, a whole plane, on worker threads; returns out.
 
-    Bands are _band_rows(transform, workers) tall, and the plane's rows
-    are split into contiguous runs of whole bands, one per worker and
-    never more runs than bands: each run is a band loop of its own on
-    its rows of src and out.  One worker is the serial loop.
+    One worker per CPU this process may run on (os.sched_getaffinity;
+    one where that does not exist), never more than bands and, on the
+    dense core, never more than max(BAND_ROWS, M) // M, so that the
+    workers' scratch buffers together are no larger than those of one
+    serial loop.  Bands are _band_rows(transform, workers) tall, and
+    the plane's rows are split into contiguous runs of whole bands, one
+    per worker: each run is a band loop of its own on its rows of src
+    and out.  One worker is the serial loop.
     """
+    m, h = transform.size, src.shape[0]
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if not transform.in_place:
+        workers = min(workers, max(BAND_ROWS, m) // m)
     rows = _band_rows(transform, workers)
-    h = src.shape[0]
     bands = -(-h // rows)
     workers = min(workers, bands)
     if workers > 1 and not transform.in_place:
         # the dense core builds its matrix on first use: build it here, once for every worker
-        empty = np.empty((0, transform.size))
+        empty = np.empty((0, m))
         transform._along(empty, empty.copy(), inverse)
     cuts = [min(h, i * bands // workers * rows) for i in range(workers + 1)]
     runs = [functools.partial(_fill, _blockwise_2d(src[a:b], out[a:b], transform, inverse, rows), None)
@@ -539,31 +515,28 @@ def _check_inverse(block: int, transform) -> None:
         raise ValueError(f"transform size {m} does not match plane block size {block}")
 
 
-def forward_2d(img: GrayImage, transform, workers: int | None = None) -> CoeffPlane:
+def forward_2d(img: GrayImage, transform) -> CoeffPlane:
     """Blockwise T B T' of an image: row pass, then column pass.
 
-    workers threads share the plane's bands, each of them on rows of
-    its own, and never more threads than bands.  None means one per
-    CPU this process may run on (os.sched_getaffinity), and at most
-    one per WORKER_MIN_PIXELS pixels.  The output does not depend on
-    workers.
+    Threads share the plane's bands, one per CPU this process may run
+    on (os.sched_getaffinity), each on rows of its own; the output does
+    not depend on their number.  The dense core's products also run on
+    the BLAS's threads: with OpenBLAS at one thread per CPU, on a 2-CPU
+    x86-64 host at 2048^2 and M=8, two workers took 2-4% longer than
+    one here and 10-20% less in inverse_2d; with OpenBLAS at one thread
+    (OPENBLAS_NUM_THREADS=1), 30-45% less in both.
     """
     _check_divisible(img.pixels.shape, _block_size(transform))
-    workers = _check_workers(workers, img.pixels.shape)
     values = np.empty(img.pixels.shape)
-    _fill_in_threads(img.pixels, values, transform, False, workers)
+    _fill_in_threads(img.pixels, values, transform, False)
     return CoeffPlane(values, block=transform.size, kind=transform.kind)
 
 
-def inverse_2d(coeffs: CoeffPlane, transform, workers: int | None = None) -> np.ndarray:
-    """Exact adjoint of forward_2d; returns the real-valued plane, no rounding.
-
-    workers is as for forward_2d.
-    """
+def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
+    """Exact adjoint of forward_2d, on threads as forward_2d; returns the real-valued plane, no rounding."""
     _check_inverse(coeffs.block, transform)
-    workers = _check_workers(workers, coeffs.values.shape)
     plane = np.empty(coeffs.values.shape)
-    return _fill_in_threads(coeffs.values, plane, transform, True, workers)
+    return _fill_in_threads(coeffs.values, plane, transform, True)
 
 
 def _forward_file(img: GrayImage, transform, path) -> None:

@@ -346,22 +346,29 @@ def test_fft_route_reads_neither_the_dense_core_nor_the_folded_matrix(monkeypatc
     assert np.abs(inverse_2d(forward_2d(img, t), t) - img.pixels).max() <= 1e-9
 
 
-@pytest.mark.parametrize("m,planes,workers", [
-    pytest.param(m, planes, workers, id=f"{m}-{planes}" + ("" if workers == 1 else f"-{workers}-workers"))
-    for m, planes in ((8, 1.3), (FFT_MIN_SIZE, 1.1)) for workers in (1, 2)])
-def test_2d_pipeline_holds_at_most_two_planes(m, planes, workers):
-    # the output plane and, on the dense core, two band-sized scratch buffers:
-    # 2 x 64 of 512 rows is 1.25 planes, and two workers hold two of 32 rows
-    # each; the FFT core works in place on its output
+def _on_cpus(monkeypatch, count):
+    # forward_2d and inverse_2d then run one worker per CPU of these count
+    monkeypatch.setattr(imaging.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("m,planes,rows,cpus", [
+    pytest.param(m, planes, rows, cpus, id=f"{m}-{planes}" + ("" if cpus == 1 else f"-{cpus}-cpus"))
+    for m, planes, rows in ((8, 1.3, 512), (128, 1.3, 1024), (FFT_MIN_SIZE, 1.1, 512))
+    for cpus in (1, 2, 8)])
+def test_2d_pipeline_holds_at_most_two_planes(monkeypatch, m, planes, rows, cpus):
+    # the output plane and, on the dense core, two band-sized scratch buffers of
+    # max(64, M) rows, a quarter of the plane, split between the workers: two of
+    # 128 rows each would be half the plane; the FFT core works in place on its output
     rng = np.random.default_rng(48)
-    img = _random_image(rng, 512, 768)
+    img = _random_image(rng, rows, 768)
     t = rfst(m)
-    coeffs = forward_2d(img, t)  # also builds rfst(8)'s dense core once, outside the trace
+    coeffs = forward_2d(img, t)  # also builds rfst(m)'s dense core once, outside the trace
     plane_bytes = coeffs.values.nbytes
+    _on_cpus(monkeypatch, cpus)
     for call, arg in ((forward_2d, img), (inverse_2d, coeffs)):
         tracemalloc.start()
         try:
-            call(arg, t, workers=workers)
+            call(arg, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -405,48 +412,49 @@ _WORKER_CASES = [
 
 
 @pytest.mark.parametrize("make,m,block_rows", _WORKER_CASES)
-def test_outputs_do_not_depend_on_workers(make, m, block_rows):
+def test_outputs_do_not_depend_on_workers(monkeypatch, make, m, block_rows):
     rng = np.random.default_rng(60)
     img = _random_image(rng, block_rows * m, 2 * m if m > 8 else 48)
     t = make(m)
-    coeffs = forward_2d(img, t, workers=1)
-    plane = inverse_2d(coeffs, t, workers=1)
-    for workers in (2, 3, 5):
-        assert np.array_equal(forward_2d(img, t, workers=workers).values, coeffs.values), workers
-        assert np.array_equal(inverse_2d(coeffs, t, workers=workers), plane), workers
+    _on_cpus(monkeypatch, 1)
+    coeffs = forward_2d(img, t)
+    plane = inverse_2d(coeffs, t)
+    for cpus in (2, 3, 5):
+        _on_cpus(monkeypatch, cpus)
+        assert np.array_equal(forward_2d(img, t).values, coeffs.values), cpus
+        assert np.array_equal(inverse_2d(coeffs, t), plane), cpus
 
 
-@pytest.mark.parametrize("workers", (0, -1, 1.5, "2"))
-def test_workers_must_be_a_positive_integer(workers):
-    img = _random_image(np.random.default_rng(61), 64, 64)
-    coeffs = forward_2d(img, rfst(8))
-    with pytest.raises(ValueError, match="workers"):
-        forward_2d(img, rfst(8), workers=workers)
-    with pytest.raises(ValueError, match="workers"):
-        inverse_2d(coeffs, rfst(8), workers=workers)
-
-
-def test_default_workers_are_the_cpus_this_process_may_use(monkeypatch):
-    # one per CPU in the affinity mask, at most one per WORKER_MIN_PIXELS pixels;
-    # one where the mask cannot be read
+def test_workers_are_the_cpus_this_process_may_use(monkeypatch):
+    # one per CPU in the affinity mask, one where the mask cannot be read; never more
+    # than bands, nor on the dense core than max(BAND_ROWS, M) // M
+    runs = []
+    in_threads = imaging._in_threads
+    monkeypatch.setattr(imaging, "_in_threads", lambda r: runs.append(len(r)) or in_threads(r))
     monkeypatch.setattr(imaging.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    for shape, workers in (((8, 8), 1), ((1024, 512), 1), ((1024, 1024), 2), ((2048, 2048), 3)):
-        assert imaging._check_workers(None, shape) == workers, shape
-    assert imaging._check_workers(5, (8, 8)) == 5
+    for m, rows, workers in ((8, 9 * 8, 3), (8, 8, 1), (32, 4 * 32, 2), (64, 4 * 64, 1),
+                             (128, 4 * 128, 1), (FFT_MIN_SIZE, 2 * FFT_MIN_SIZE, 2),
+                             (FFT_MIN_SIZE, 7 * FFT_MIN_SIZE, 3)):
+        runs.clear()
+        forward_2d(_random_image(np.random.default_rng(61), rows, m), rfst(m))
+        assert runs == [workers], (m, rows)
     monkeypatch.delattr(imaging.os, "sched_getaffinity")
-    assert imaging._check_workers(None, (2048, 2048)) == 1
+    runs.clear()
+    forward_2d(_random_image(np.random.default_rng(61), 9 * 8, 8), rfst(8))
+    assert runs == [1]
 
 
-@pytest.mark.parametrize("workers", (None, 8))
-def test_a_one_band_plane_starts_no_thread(monkeypatch, workers):
+@pytest.mark.parametrize("cpus", (2, 8))
+def test_a_one_band_plane_starts_no_thread(monkeypatch, cpus):
     def no_thread(*args, **kwargs):
         pytest.fail("a thread was started for a plane of one band")
 
+    _on_cpus(monkeypatch, cpus)
     monkeypatch.setattr(imaging.threading, "Thread", no_thread)
     for m in (8, FFT_MIN_SIZE):
         img = _random_image(np.random.default_rng(62), m, 2 * m)
         t = rfst(m)
-        assert np.abs(inverse_2d(forward_2d(img, t, workers), t, workers) - img.pixels).max() <= 1e-9
+        assert np.abs(inverse_2d(forward_2d(img, t), t) - img.pixels).max() <= 1e-9
 
 
 def test_every_worker_thread_is_joined(monkeypatch):
@@ -455,7 +463,7 @@ def test_every_worker_thread_is_joined(monkeypatch):
     # worker fails, and the caller gets that error
     img = _random_image(np.random.default_rng(63), 3 * BAND_ROWS, 48)
     t = rfst(8)
-    coeffs = forward_2d(img, t, workers=1)
+    coeffs = forward_2d(img, t)
     caller, calls, lock = threading.current_thread(), [], threading.Lock()
     along = FastRegularTransform._along
 
@@ -468,13 +476,14 @@ def test_every_worker_thread_is_joined(monkeypatch):
                     raise RuntimeError("the second call failed")
         along(self, x, y, inverse)
 
+    _on_cpus(monkeypatch, 5)
     baseline = threading.active_count()
     for fail in (False, True):
         monkeypatch.setattr(FastRegularTransform, "_along", functools.partialmethod(slow, fail=fail))
         for call, arg in ((forward_2d, img), (inverse_2d, coeffs)):
             calls.clear()
             with pytest.raises(RuntimeError, match="second call") if fail else contextlib.nullcontext():
-                call(arg, t, workers=5)
+                call(arg, t)
             assert calls and threading.active_count() == baseline
 
 
@@ -486,15 +495,16 @@ def test_a_cold_transform_builds_its_dense_matrices_once(monkeypatch, make):
     real = regularity.dst2
     monkeypatch.setattr(regularity, "dst2",
                         lambda m: dst2_calls.append((m, threading.active_count())) or real(m))
+    _on_cpus(monkeypatch, 2)
     img = _random_image(np.random.default_rng(64), 2 * BAND_ROWS, 48)
     t = make(8)
     baseline = threading.active_count()
-    inverse_2d(forward_2d(img, t, workers=2), t, workers=2)
+    inverse_2d(forward_2d(img, t), t)
     assert dst2_calls == [(8, baseline)]
 
 
 _RACE_CODE = """
-import hashlib, sys
+import hashlib, os, sys
 import numpy as np
 import rfst
 from rfst.rdst import DenseHalf, half_postprocessing_matrix
@@ -505,18 +515,20 @@ for t, rows in ((rfst.rfst(8), 512), (rfst.rfst(FFT_MIN_SIZE), 4 * FFT_MIN_SIZE)
                 (FastRegularTransform(DenseHalf(half_postprocessing_matrix(FFT_MIN_SIZE))),
                  4 * FFT_MIN_SIZE)):
     img = rfst.GrayImage(rng.integers(0, 256, size=(rows, 2 * FFT_MIN_SIZE), dtype=np.uint8))
-    coeffs = rfst.forward_2d(img, t, workers=1)
-    plane = rfst.inverse_2d(coeffs, t, workers=1)
+    os.sched_getaffinity = lambda pid: {0}
+    coeffs = rfst.forward_2d(img, t)
+    plane = rfst.inverse_2d(coeffs, t)
+    os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
     for _ in range(3):
-        got = (rfst.forward_2d(img, t, workers=4).values, rfst.inverse_2d(coeffs, t, workers=4))
+        got = (rfst.forward_2d(img, t).values, rfst.inverse_2d(coeffs, t))
         print(*(hashlib.sha256(a.tobytes()).hexdigest() == hashlib.sha256(b.tobytes()).hexdigest()
                 for a, b in zip(got, (coeffs.values, plane))))
 """
 
 
 def test_workers_race_nothing_under_a_short_switch_interval():
-    # the interpreter switches threads every microsecond, so any state that the
-    # workers share without a lock would be raced
+    # four workers, while the interpreter switches threads every microsecond, so
+    # any state that the workers share without a lock would be raced
     src = str(Path(imaging.__file__).resolve().parents[1])
     code = f"import sys; sys.path.insert(0, {src!r})\n" + _RACE_CODE
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

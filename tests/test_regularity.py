@@ -1,6 +1,7 @@
 """Cascade construction, the fast regular transform, and op-count models."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -209,22 +210,23 @@ def test_2d_pipeline_makes_one_blas_call_per_reflection_per_pass(monkeypatch):
     # stride-8 columns of each band (drotm), its column pass on the band's subband-major
     # rows (dscal + drot); one call per block row would make 8 column-pass calls per
     # reflection on 64 rows.  rfst(8) itself folds the cascade into its matrix: no call.
-    # Two workers split the plane into bands of half the height, so each pass makes
-    # one call per reflection per band of 32 rows
+    # Two workers, on two CPUs, split the plane into bands of half the height, so each
+    # pass makes one call per reflection per band of 32 rows
     calls = {name: _counting(monkeypatch, name) for name in ("drotm", "drot")}
     unfolded, folded = _Unfolded(rfst(8).cascade), rfst(8)
     for workers, band_rows in ((1, BAND_ROWS), (2, BAND_ROWS // 2)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
         for rows in (64, 3 * BAND_ROWS):
             bands = rows // band_rows
             img = GrayImage(np.random.default_rng(10).integers(0, 256, size=(rows, 48), dtype=np.uint8))
             for t, count in ((unfolded, 3 * bands), (folded, 0)):
                 for c in calls.values():
                     c.clear()
-                coeffs = forward_2d(img, t, workers=workers)
+                coeffs = forward_2d(img, t)
                 assert {name: len(c) for name, c in calls.items()} == {"drotm": count, "drot": count}
                 for c in calls.values():
                     c.clear()
-                inverse_2d(coeffs, t, workers=workers)
+                inverse_2d(coeffs, t)
                 assert {name: len(c) for name, c in calls.items()} == {"drotm": count, "drot": count}
 
 
