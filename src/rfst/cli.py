@@ -148,7 +148,7 @@ def _cmd_image(args) -> int:
             if payload.kind not in (None, TRANSFORM_KINDS[args.transform]):
                 raise ValueError(f"--transform {args.transform} does not match coefficient "
                                  f"file transform {payload.kind}")
-            # the output is opened, and truncated, while the input is still being read
+            # the output is opened, and cut to its size, while the input is still being read
             if os.path.exists(args.out) and os.path.samefile(args.infile, args.out):
                 raise ValueError("--out names the --in file, which image inverse reads as it writes")
             imaging._inverse_file(payload, TRANSFORMS[args.transform](args.block), args.out)
@@ -156,11 +156,8 @@ def _cmd_image(args) -> int:
     img = imaging.read_pgm(args.infile)
     imaging._check_divisible(img.pixels.shape, args.block)
     transform = TRANSFORMS[args.transform](args.block)
-    if args.action == "forward":
-        imaging._forward_file(img, transform, args.out)
-    else:  # mosaic
-        bands = imaging._forward_bands(img, transform)
-        imaging.write_pgm(imaging._mosaic(bands, img.pixels.shape, args.block), args.out)
+    write = imaging._forward_file if args.action == "forward" else imaging._mosaic_file
+    write(img, transform, args.out)
     return 0
 
 

@@ -34,16 +34,16 @@ runs after the dense core, on the bench's _Unfolded route below, does
 a band pass through that subband-major layout and get copied between
 it and block layout.  BAND_ROWS was measured once and is fixed.
 
-forward_2d and inverse_2d share a plane's bands between worker
-threads, one per CPU the process may run on: the rows are split into
-contiguous runs of whole bands, each a band loop of its own on its rows
-of the input and of the output plane, and the calling thread runs the
-first.  Bands share no memory, and numpy's matmul and scipy.fft's DST
-release the GIL.  On the dense core a worker's band is BAND_ROWS //
-workers rows, or M if larger, and there are never more workers than
-max(BAND_ROWS, M) // M, so the workers together hold no more scratch
-than one serial loop; the outputs are the same for every worker count.
-The streamed image commands and the bench run one worker.
+forward_2d, inverse_2d and the image commands share a plane's bands
+between worker threads, one per CPU the process may run on, with one
+planner (_on_workers): the rows are split into contiguous runs of whole
+bands, each a band loop of its own on its rows, and the calling thread
+runs the first.  Bands share no memory, and numpy's matmul, scipy.fft's
+DST and positioned file I/O release the GIL.  On the dense core a
+worker's band is BAND_ROWS // workers rows, or M if larger, and there
+are never more workers than max(BAND_ROWS, M) // M, so the workers
+together hold no more scratch than one serial loop; the outputs are the
+same for every worker count.  The bench runs one worker.
 
 The bench adds a third route, _Unfolded, the paper's: the sine core
 rfst ships at M, then the postprocessing as a pass of its own at every
@@ -51,31 +51,37 @@ M.  It times the cascade and rdst.DenseHalf, the dense half-size
 matrix, on that route, and rfst(M) as shipped.
 
 The loop yields each band as it is finished, so the CLI's image
-commands stream, and neither holds a coefficient plane: `rfst image
-forward` writes every band to the RFC file from one band-sized buffer,
-and `rfst image inverse` reads the file one band at a time (_Payload:
-readinto one reused buffer, after one size check of the whole payload),
-checks the band for NaN and infinity, inverts it, and rounds and writes
-it to the PGM while it is in cache.  A bad value late in the file thus
-fails after part of the PGM is written, and that partial file is
-removed.  `rfst image mosaic` regroups every band into the one mosaic
-plane.
+commands stream (_stream), and none holds a coefficient plane: in
+`rfst image forward` each worker writes every band of its run to the
+RFC file at the band's own offset (os.pwrite) from one band-sized
+buffer, and in `rfst image inverse` each worker reads its bands at
+their offsets in the file (_Payload, os.preadv, after one size check
+of the whole payload) into a buffer of its own, checks each for NaN
+and infinity, inverts it, and rounds and writes it at its offset in
+the PGM while it is in cache.  A bad value late in the file thus fails
+after part of the PGM is written, and that partial file is removed.
+`rfst image mosaic` regroups every band into the worker's own rows of
+the one mosaic plane.
 
 Images are binary PGM (P5) and coefficient planes RFC2 files (see
 _coeff_header), each read and written through a path.  A PGM is read
 whole and handed to parse_pgm, so it may come from a pipe; an RFC2
-payload is read with readinto after a size check, so its input must be
-seekable.  read_coeff_file and `rfst image inverse` read the header
-with one function, and a plane read or built passes one set of checks
-(_check_plane).
+payload is read after a size check, so its input must be seekable.
+Every output is written at offsets (_output), so it must be seekable
+too; it is not truncated when opened, but cut to its size once.
+read_coeff_file and `rfst image inverse` read the header with one
+function and check values with one function, and a plane read or built
+passes one set of checks (_check_plane).
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import io
 import os
+import stat
 import threading
 import time
 from dataclasses import dataclass
@@ -185,25 +191,53 @@ def _read_into(f, values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _write(f, header: bytes, bands, dtype) -> None:
-    """Write header, then a payload given as bands of rows in order, each as C-ordered dtype."""
-    f.write(header)
-    for band in bands:
-        f.write(np.ascontiguousarray(band, dtype=dtype))
+def _read_at(fd: int, offset: int, values: np.ndarray, what: str) -> np.ndarray:
+    """Fill values, a C-ordered array, from the file fd's bytes at offset on; returns values."""
+    view = memoryview(values).cast("B")
+    while view:  # a read stops short at 2 GiB, or at the end of a file that shrank after it was sized
+        n = os.preadv(fd, [view], offset)
+        if n == 0:
+            raise ValueError(f"truncated {what}")
+        view, offset = view[n:], offset + n
+    return values
+
+
+def _write_at(fd: int, offset: int, *buffers) -> None:
+    """Write buffers, each bytes or a C-ordered array, one after the other to fd from offset on."""
+    for buffer in buffers:
+        view = memoryview(buffer).cast("B")
+        while view:  # a write stops short at 2 GiB
+            n = os.pwrite(fd, view, offset)
+            view, offset = view[n:], offset + n
 
 
 @contextlib.contextmanager
-def _output(path):
-    """path opened for writing; if the block raises, a regular file there is removed again."""
-    f = open(path, "wb")
+def _output(path, size: int):
+    """A descriptor of path, opened for positioned writes of its size bytes.
+
+    The path is not truncated when it is opened: a regular file is cut
+    or extended to size once, so rewriting an existing output costs the
+    write alone.  An output that cannot be written at an offset, such
+    as a pipe, is refused before anything is written.  If the block
+    raises, a regular file there is removed again.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        with f:
-            yield f
+        try:
+            os.lseek(fd, 0, os.SEEK_CUR)
+        except OSError:  # ESPIPE
+            raise ValueError(
+                "cannot write to a pipe or another output that is not seekable") from None
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, size)
+        yield fd
     except BaseException:
         path = Path(path)
         if path.is_file() and not path.is_symlink():  # never /dev/stdout or a device
             path.unlink()
         raise
+    finally:
+        os.close(fd)
 
 
 def _pgm_header(width: int, height: int) -> bytes:
@@ -258,8 +292,9 @@ def read_pgm(path) -> GrayImage:
 
 
 def write_pgm(img: GrayImage, path) -> None:
-    with _output(path) as f:
-        _write(f, _pgm_header(img.width, img.height), (img.pixels,), np.uint8)
+    header = _pgm_header(img.width, img.height)
+    with _output(path, len(header) + img.pixels.size) as fd:
+        _write_at(fd, 0, header, np.ascontiguousarray(img.pixels))
 
 
 def _coeff_header(shape, block: int, kind: str | None) -> bytes:
@@ -287,9 +322,8 @@ def _read_coeff_header(f):
     return (height, width), block, KINDS[kind_id - 1] if kind_id else None
 
 
-def _read_coeffs(f, values: np.ndarray) -> np.ndarray:
-    """Fill values, rows of an RFC payload, from f's next bytes, and check that all are finite."""
-    _read_into(f, values, "coefficient payload")
+def _check_finite(values: np.ndarray) -> np.ndarray:
+    """values, rows of an RFC payload, once every one is checked to be finite."""
     # a NaN propagates through min and max, and an infinity is one of them: no mask is needed
     if values.size and not np.isfinite([values.min(), values.max()]).all():
         raise ValueError("coefficient payload holds NaN or infinite values")
@@ -298,30 +332,41 @@ def _read_coeffs(f, values: np.ndarray) -> np.ndarray:
 
 def _read_coeff_file(f) -> CoeffPlane:
     shape, block, kind = _read_coeff_header(f)
-    return CoeffPlane(_read_coeffs(f, np.empty(shape, "<f8")), block=block, kind=kind)
+    values = _read_into(f, np.empty(shape, "<f8"), "coefficient payload")
+    return CoeffPlane(_check_finite(values), block=block, kind=kind)
 
 
 class _Payload:
-    """An RFC file's coefficient plane, read from the file a band of rows at a time.
+    """An RFC file's coefficient plane, or a run of its rows, read from the file a band at a time.
 
     The header is read and every check that needs no coefficient runs
     when it is built; nothing is allocated before the payload's size
-    is checked.  The band loop then takes it for the plane: slicing
-    it, one band after the other from the top, reads each band into
-    one reused buffer and checks that its values are finite, so no
-    coefficient plane is held.
+    is checked.  A band loop then takes it, or rows(a, b), a run of its
+    own, for the plane: slicing it reads that band from its offset in
+    the file (os.preadv) into one reused buffer of the run's and checks
+    that its values are finite, so no coefficient plane is held, and
+    runs read by different threads share nothing but the file.
     """
 
     def __init__(self, f):
         self.shape, self.block, self.kind = _read_coeff_header(f)
         _check_plane(self.shape, self.block, self.kind)
-        self._file, self._buffer = f, None
+        self._fd, self._offset, self._buffer = f.fileno(), f.tell(), None
+
+    def rows(self, a: int, b: int) -> _Payload:
+        """Rows a:b of the plane, as a _Payload with a buffer of its own."""
+        run = copy.copy(self)
+        run.shape, run._buffer = (b - a, self.shape[1]), None
+        run._offset += 8 * a * self.shape[1]
+        return run
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        r = rows.stop - rows.start
+        r, w = rows.stop - rows.start, self.shape[1]
         if self._buffer is None:  # the first band is the tallest
-            self._buffer = np.empty((r, self.shape[1]), "<f8")
-        return _read_coeffs(self._file, self._buffer[:r])
+            self._buffer = np.empty((r, w), "<f8")
+        values = self._buffer[:r]
+        _read_at(self._fd, self._offset + 8 * rows.start * w, values, "coefficient payload")
+        return _check_finite(values)
 
 
 def read_coeff_file(path) -> CoeffPlane:
@@ -331,8 +376,8 @@ def read_coeff_file(path) -> CoeffPlane:
 
 def write_coeff_file(plane: CoeffPlane, path) -> None:
     header = _coeff_header(plane.values.shape, plane.block, plane.kind)
-    with _output(path) as f:
-        _write(f, header, (plane.values,), "<f8")
+    with _output(path, len(header) + plane.values.nbytes) as fd:
+        _write_at(fd, 0, header, np.ascontiguousarray(plane.values, "<f8"))
 
 
 def _block_size(transform) -> int:
@@ -346,8 +391,8 @@ def _band_rows(transform, workers: int = 1) -> int:
 
     One block row when the core runs in place.  Otherwise
     max(BAND_ROWS // workers, M), rounded down to a multiple of M, so
-    that while workers <= max(BAND_ROWS, M) // M, as _fill_in_threads
-    keeps it, the workers' scratch buffers together are no larger than
+    that while workers <= max(BAND_ROWS, M) // M, as _on_workers keeps
+    it, the workers' scratch buffers together are no larger than
     those of one worker alone.
     """
     m = transform.size
@@ -462,19 +507,19 @@ def _in_threads(runs) -> None:
             raise error
 
 
-def _fill_in_threads(src, out: np.ndarray, transform, inverse: bool) -> np.ndarray:
-    """Run the band loop from src into out, a whole plane, on worker threads; returns out.
+def _on_workers(h: int, transform, inverse: bool, work) -> None:
+    """Call work(a, b, rows) once per worker, each on rows a:b of a plane h rows tall.
 
     One worker per CPU this process may run on (os.sched_getaffinity;
     one where that does not exist), never more than bands and, on the
     dense core, never more than max(BAND_ROWS, M) // M, so that the
     workers' scratch buffers together are no larger than those of one
-    serial loop.  Bands are _band_rows(transform, workers) tall, and
-    the plane's rows are split into contiguous runs of whole bands, one
-    per worker: each run is a band loop of its own on its rows of src
-    and out.  One worker is the serial loop.
+    serial loop.  Bands are rows = _band_rows(transform, workers) tall,
+    and the plane's rows are split into contiguous runs of whole bands,
+    one per worker, each run as a band loop of its own; the workers run
+    in threads (_in_threads).  One worker is the serial loop.
     """
-    m, h = transform.size, src.shape[0]
+    m = transform.size
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if not transform.in_place:
         workers = min(workers, max(BAND_ROWS, m) // m)
@@ -486,10 +531,33 @@ def _fill_in_threads(src, out: np.ndarray, transform, inverse: bool) -> np.ndarr
         empty = np.empty((0, m))
         transform._along(empty, empty.copy(), inverse)
     cuts = [min(h, i * bands // workers * rows) for i in range(workers + 1)]
-    runs = [functools.partial(_fill, _blockwise_2d(src[a:b], out[a:b], transform, inverse, rows), None)
-            for a, b in zip(cuts, cuts[1:])]
-    _in_threads(runs)
+    _in_threads([functools.partial(work, a, b, rows) for a, b in zip(cuts, cuts[1:])])
+
+
+def _fill_in_threads(src, out: np.ndarray, transform, inverse: bool) -> np.ndarray:
+    """Run the band loop from src into out, a whole plane, on worker threads; returns out."""
+    def work(a, b, rows):
+        _fill(_blockwise_2d(src[a:b], out[a:b], transform, inverse, rows), None)
+
+    _on_workers(src.shape[0], transform, inverse, work)
     return out
+
+
+def _stream(h: int, transform, inverse: bool, source, put) -> None:
+    """Run the band loop with no output plane on worker threads, as _on_workers splits it.
+
+    source(a, b) gives a worker its rows a:b of the plane, and put(top,
+    band) takes each band, whose first row in the plane is top, as soon
+    as it is finished, in the worker's thread: before put returns, as
+    the worker's next band reuses the buffer.
+    """
+    def work(a, b, rows):
+        top = a
+        for band in _blockwise_2d(source(a, b), None, transform, inverse, rows):
+            put(top, band)
+            top += len(band)
+
+    _on_workers(h, transform, inverse, work)
 
 
 def _check_divisible(shape, m: int) -> None:
@@ -501,12 +569,6 @@ def _check_divisible(shape, m: int) -> None:
             f"image dimensions {w}x{h} not divisible by block size {m}; "
             "padding is deliberately not supported"
         )
-
-
-def _forward_bands(img: GrayImage, transform):
-    """forward_2d's band loop with no output plane, after forward_2d's checks."""
-    _check_divisible(img.pixels.shape, _block_size(transform))
-    return _blockwise_2d(img.pixels, None, transform)
 
 
 def _check_inverse(block: int, transform) -> None:
@@ -540,32 +602,51 @@ def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
 
 
 def _forward_file(img: GrayImage, transform, path) -> None:
-    """Write forward_2d(img, transform) to path as an RFC file, one band at a time.
+    """Write forward_2d(img, transform) to path as an RFC file, each band at its own offset.
 
-    Each band goes to the file while it is in cache; no coefficient
-    plane is held.  If anything fails, no partial file is left.
+    The workers write every band to the file while it is in cache; no
+    coefficient plane is held.  If anything fails, no partial file is
+    left.  The image's size is checked against the transform's by the
+    caller, as for _mosaic_file.
     """
-    bands = _forward_bands(img, transform)
+    h, w = img.pixels.shape
     header = _coeff_header(img.pixels.shape, transform.size, transform.kind)
-    with _output(path) as f:
-        _write(f, header, bands, "<f8")
+    with _output(path, len(header) + 8 * h * w) as fd:
+        _write_at(fd, 0, header)
+        _stream(h, transform, False, lambda a, b: img.pixels[a:b],
+                lambda top, band: _write_at(fd, len(header) + 8 * top * w,
+                                            np.ascontiguousarray(band, "<f8")))
 
 
 def _inverse_file(payload: _Payload, transform, path) -> None:
     """Write the inverse of an RFC file's plane, rounded and clipped to 8 bits, to path as a PGM.
 
-    Each band is read, checked, inverted, rounded and written while it
-    is in cache, so only band-sized buffers are held.  If anything
-    fails, a bad value late in the file included, no partial file is
-    left.
+    Each worker reads, checks, inverts, rounds and writes its bands at
+    their offsets in the two files, a band while it is in cache, so
+    only band-sized buffers are held.  If anything fails, a bad value
+    late in the file included, no partial file is left.
     """
     _check_inverse(payload.block, transform)
-    bands = _blockwise_2d(payload, None, transform, inverse=True)
-    # each band is rounded in place, then converted to uint8 as it is written
-    rounded = (np.clip(np.rint(band, out=band), 0, 255, out=band) for band in bands)
-    height, width = payload.shape
-    with _output(path) as f:
-        _write(f, _pgm_header(width, height), rounded, np.uint8)
+    h, w = payload.shape
+    header = _pgm_header(w, h)
+    with _output(path, len(header) + h * w) as fd:
+
+        def put(top, band):  # rounded in place, then written as uint8
+            np.clip(np.rint(band, out=band), 0, 255, out=band)
+            _write_at(fd, len(header) + top * w, band.astype(np.uint8))
+
+        _write_at(fd, 0, header)
+        _stream(h, transform, True, payload.rows, put)
+
+
+def _mosaic_file(img: GrayImage, transform, path) -> None:
+    """Write subband_mosaic(forward_2d(img, transform)) to path as a PGM, holding no coefficient plane."""
+    h, w = img.pixels.shape
+    header = _pgm_header(w, h)
+    with _output(path, len(header) + h * w) as fd:  # a pipe is refused before the transform runs
+        fill = functools.partial(_stream, h, transform, False, lambda a, b: img.pixels[a:b])
+        mosaic = _mosaic(fill, img.pixels.shape, transform.size)
+        _write_at(fd, 0, header, mosaic.pixels)
 
 
 def subband_energy(coeffs: CoeffPlane) -> np.ndarray:
@@ -584,23 +665,26 @@ def subband_mosaic(coeffs: CoeffPlane) -> GrayImage:
     255 * log(1 + |c|) / log(1 + max |c|), to keep small subbands
     visible next to the DC tile.
     """
-    return _mosaic((coeffs.values,), coeffs.values.shape, coeffs.block)
+    return _mosaic(lambda put: put(0, coeffs.values), coeffs.values.shape, coeffs.block)
 
 
-def _mosaic(bands, shape, m: int) -> GrayImage:
-    """subband_mosaic of a plane of the given shape, given as bands of whole block rows in order.
+def _mosaic(fill, shape, m: int) -> GrayImage:
+    """subband_mosaic of a plane of the given shape, which fill(put) hands over in bands.
 
-    Each band is regrouped into the mosaic plane as it comes, so a band
-    loop's reused buffer may hold it.
+    fill calls put(top, band) with bands of whole block rows, top a
+    band's first row in the plane, in any order and from any thread.
+    Each band is regrouped into its own rows of the mosaic plane before
+    put returns, so a band loop's reused buffer may hold it.
     """
     h, w = shape
     # the regrouped plane is the one float plane this function holds; the rest runs in place
     mosaic = np.empty((m, h // m, m, w // m))
-    top = 0
-    for band in bands:
+
+    def put(top, band):
         blocks = band.reshape(-1, m, w // m, m)
-        np.abs(blocks.transpose(1, 0, 3, 2), out=mosaic[:, top:top + len(blocks)])
-        top += len(blocks)
+        np.abs(blocks.transpose(1, 0, 3, 2), out=mosaic[:, top // m:top // m + len(blocks)])
+
+    fill(put)
     mosaic = mosaic.reshape(h, w)
     peak = mosaic.max()
     if peak > 0:

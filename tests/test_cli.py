@@ -4,7 +4,11 @@ import importlib
 import io
 import math
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,10 @@ from rfst.imaging import (
 from rfst.rdst import EQUIV_DEFAULT_TOL
 from rfst.regularity import FFT_MIN_SIZE, rfst
 from rfst.transforms import dst2
+
+
+def _random_image(rng, h, w):
+    return GrayImage(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
 
 
 def run(capsys, *argv):
@@ -379,82 +387,114 @@ def test_streamed_image_commands_match_the_library(tmp_path, capsys, transform, 
     assert back.read_bytes() == written(write_pgm, subband_mosaic(plane))
 
 
+def _on_cpus(monkeypatch, count):
+    # the image commands then run one worker per CPU of these count
+    monkeypatch.setattr(imaging.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _band_tops(rows, cpus):
+    # the first row of every band of a dense-core plane of rows rows, at block 8, on cpus CPUs
+    return list(range(0, rows, max(BAND_ROWS // cpus, 8) // 8 * 8))
+
+
+def _record_pwrites(monkeypatch, fail_at=None, path=None):
+    """(offset, bytes) of every positioned write that returned.
+
+    The write at offset fail_at fails, once the file at path is checked
+    to hold every write that returned before it.
+    """
+    written, pwrite = [], os.pwrite
+
+    def recording(fd, data, offset):
+        if offset == fail_at:
+            done, blob = list(written), path.read_bytes()
+            assert done and all(blob[at:at + len(chunk)] == chunk for at, chunk in done)
+            raise OSError(28, "No space left on device")
+        n = pwrite(fd, data, offset)
+        written.append((offset, bytes(data[:n])))
+        return n
+
+    monkeypatch.setattr(imaging.os, "pwrite", recording)
+    return written
+
+
 @pytest.mark.parametrize("bad", (np.nan, np.inf), ids=("nan", "inf"))
 def test_image_inverse_rejects_a_bad_value_in_the_last_band(tmp_path, capsys, monkeypatch, bad):
-    # three bands of BAND_ROWS rows: the bad value is read after the first two reached the PGM
+    # three bands of BAND_ROWS rows on one worker, six of BAND_ROWS // 2 on two, where the
+    # last is in the second worker's run: every other band reaches the PGM before the error
     values = np.zeros((3 * BAND_ROWS, 16))
     values[-1, 5] = bad
     coeff, out = tmp_path / "c.rfc", tmp_path / "o.pgm"
     write_coeff_file(imaging.CoeffPlane(values, block=8), coeff)
-    written = []
-    write = imaging._write
-
-    def counting(f, header, bands, dtype):  # _write, counting the bands it is handed
-        write(f, header, (written.append(band) or band for band in bands), dtype)
-
-    monkeypatch.setattr(imaging, "_write", counting)
-    code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst",
-                            "--block", "8", "--in", str(coeff), "--out", str(out))
-    assert (code, stdout) == (1, "")
-    assert err == "rfst: error: coefficient payload holds NaN or infinite values\n"
-    assert len(written) == 2
-    assert not out.exists()
+    header = len(b"P5\n16 192\n255\n")
+    written, baseline = _record_pwrites(monkeypatch), threading.active_count()
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        written.clear()
+        code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst",
+                                "--block", "8", "--in", str(coeff), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "rfst: error: coefficient payload holds NaN or infinite values\n"
+        tops = _band_tops(3 * BAND_ROWS, cpus)[:-1]
+        assert sorted(offset for offset, _ in written) == [0] + [header + 16 * top for top in tops]
+        assert not out.exists()
+        assert threading.active_count() == baseline
 
 
 def test_image_inverse_rejects_a_payload_that_shrinks_while_read(tmp_path, capsys, monkeypatch):
     coeff, out = tmp_path / "c.rfc", tmp_path / "o.pgm"
-    write_coeff_file(imaging.CoeffPlane(np.zeros((3 * BAND_ROWS, 16)), block=8), coeff)
+    plane = imaging.CoeffPlane(np.zeros((3 * BAND_ROWS, 16)), block=8)
+    preadv, lock = os.preadv, threading.Lock()
 
-    class Shrinking(io.BytesIO):
-        """The file, whose second band read comes up 8 bytes short."""
+    def shrinking(fd, buffers, offset):  # the file loses its last 8 bytes as the first band is read
+        with lock:
+            if coeff.stat().st_size == size:
+                os.truncate(coeff, size - 8)
+        return preadv(fd, buffers, offset)
 
-        reads = 0
-
-        def readinto(self, buffer):
-            self.reads += 1
-            view = memoryview(buffer).cast("B")
-            return super().readinto(view[:-8] if self.reads == 2 else view)
-
-    def opened(path, mode="r"):
-        assert (path, mode) == (str(coeff), "rb")
-        return Shrinking(coeff.read_bytes())
-
-    monkeypatch.setattr(cli, "open", opened, raising=False)
-    code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst",
-                            "--block", "8", "--in", str(coeff), "--out", str(out))
-    assert (code, stdout) == (1, "")
-    assert err == "rfst: error: truncated coefficient payload\n"
-    assert not out.exists()
+    monkeypatch.setattr(imaging.os, "preadv", shrinking)
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        write_coeff_file(plane, coeff)
+        size = coeff.stat().st_size
+        code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst",
+                                "--block", "8", "--in", str(coeff), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "rfst: error: truncated coefficient payload\n"
+        assert coeff.stat().st_size == size - 8
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("where", ("band-loop", "write"))
 def test_failed_image_forward_leaves_no_file(tmp_path, capsys, monkeypatch, where):
+    # on two CPUs the failing band is in the second worker's run
     src, out = tmp_path / "in.pgm", tmp_path / "c.rfc"
-    write_pgm(GrayImage(np.zeros((3 * BAND_ROWS, 16), dtype=np.uint8)), src)
-    if where == "band-loop":
-        blockwise = imaging._blockwise_2d
+    write_pgm(_random_image(np.random.default_rng(54), 3 * BAND_ROWS, 16), src)
+    baseline = threading.active_count()
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        if where == "band-loop":
+            blockwise = imaging._blockwise_2d
 
-        def failing(*args, **kwargs):
-            bands = blockwise(*args, **kwargs)
-            yield next(bands)
-            raise OSError("band loop failed")
+            def failing(*args, **kwargs):
+                bands = blockwise(*args, **kwargs)
+                yield next(bands)
+                raise OSError("band loop failed")
 
-        monkeypatch.setattr(imaging, "_blockwise_2d", failing)
-    else:
-        write = imaging._write
-
-        def failing(f, header, bands, dtype):
-            write(f, header, [next(iter(bands))], dtype)
-            f.flush()
-            assert out.stat().st_size > 20  # the header and the first band are on disk
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(imaging, "_write", failing)
-    code, stdout, err = run(capsys, "image", "forward", "--transform", "rfst",
-                            "--block", "8", "--in", str(src), "--out", str(out))
-    assert (code, stdout) == (1, "")
-    assert err.count("rfst: error:") == 1 and err.count("\n") == 1
-    assert not out.exists()
+            monkeypatch.setattr(imaging, "_blockwise_2d", failing)
+        else:
+            # the last band's write fails, after the header and every other band reached the file
+            tops = _band_tops(3 * BAND_ROWS, cpus)
+            written = _record_pwrites(monkeypatch, fail_at=20 + 8 * 16 * tops[-1], path=out)
+        code, stdout, err = run(capsys, "image", "forward", "--transform", "rfst",
+                                "--block", "8", "--in", str(src), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.count("rfst: error:") == 1 and err.count("\n") == 1
+        assert not out.exists()
+        assert threading.active_count() == baseline
+        if where == "write":
+            assert sorted(at for at, _ in written) == [0] + [20 + 8 * 16 * top for top in tops[:-1]]
+        monkeypatch.undo()
 
 
 def test_image_inverse_refuses_a_pipe(tmp_path, capsys):
@@ -474,6 +514,111 @@ def test_image_inverse_refuses_a_pipe(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("action", ("forward", "inverse", "mosaic"))
+def test_image_commands_refuse_a_pipe_as_out(tmp_path, capsys, monkeypatch, action):
+    # positioned writes cannot go to a pipe: refused before the transform runs
+    src, coeff = _forward_rfst_file(tmp_path, capsys)
+
+    def no_run(*args, **kwargs):
+        pytest.fail("the transform ran before the output was checked")
+
+    monkeypatch.setattr(imaging, "_blockwise_2d", no_run)
+    read_end, write_end = os.pipe()
+    try:
+        code, stdout, err = run(capsys, "image", action, "--transform", "rfst", "--block", "8",
+                                "--in", str(coeff if action == "inverse" else src),
+                                "--out", f"/dev/fd/{write_end}")
+        os.set_blocking(read_end, False)
+        with pytest.raises(BlockingIOError):  # nothing was written to the pipe
+            os.read(read_end, 1)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert (code, stdout) == (1, "")
+    assert err == "rfst: error: cannot write to a pipe or another output that is not seekable\n"
+
+
+@pytest.mark.parametrize("action", ("forward", "inverse", "mosaic"))
+def test_image_commands_rewrite_an_existing_output_exactly(tmp_path, capsys, action):
+    # the output is not truncated when it is opened, but cut or extended to its size
+    src, coeff = _forward_rfst_file(tmp_path, capsys)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    argv = ("image", action, "--transform", "rfst", "--block", "8",
+            "--in", str(coeff if action == "inverse" else src), "--out")
+    assert run(capsys, *argv, str(fresh))[0] == 0
+    want = fresh.read_bytes()
+    for old in (b"\xff" * (2 * len(want)), b"\xff" * (len(want) // 2)):
+        out.write_bytes(old)
+        assert run(capsys, *argv, str(out))[0] == 0
+        assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("transform,block,rows,cols", (
+    # 72 rows on the dense core: 2, 3, 5 and 9 bands at 1, 2, 3 and 5 workers
+    pytest.param("rfst", 8, 72, 48, id="rfst-8"),
+    pytest.param("dct", 8, 72, 48, id="dct-8"),
+    # the FFT core: 7 bands of one block row
+    pytest.param("rfst", FFT_MIN_SIZE, 7 * FFT_MIN_SIZE, FFT_MIN_SIZE, id="rfst-fft"),
+))
+def test_image_files_do_not_depend_on_workers(tmp_path, capsys, monkeypatch, transform, block,
+                                              rows, cols):
+    src = tmp_path / "in.pgm"
+    write_pgm(_random_image(np.random.default_rng(55), rows, cols), src)
+    runs = []
+    in_threads = imaging._in_threads
+    monkeypatch.setattr(imaging, "_in_threads", lambda r: runs.append(len(r)) or in_threads(r))
+
+    def files(cpus):
+        _on_cpus(monkeypatch, cpus)
+        runs.clear()
+        opts = ("--transform", transform, "--block", str(block))
+        coeff, back, mosaic = (tmp_path / f"{name}-{cpus}" for name in ("c.rfc", "back.pgm", "m.pgm"))
+        for action, infile, out in (("forward", src, coeff), ("inverse", tmp_path / "c.rfc-1", back),
+                                    ("mosaic", src, mosaic)):
+            assert run(capsys, "image", action, *opts, "--in", str(infile), "--out", str(out))[0] == 0
+        assert runs == [cpus] * 3
+        return [path.read_bytes() for path in (coeff, back, mosaic)]
+
+    one = files(1)
+    assert one[1] == src.read_bytes()
+    for cpus in (2, 3, 5):
+        assert files(cpus) == one, cpus
+
+
+_RACE_CODE = """
+import os, sys
+from pathlib import Path
+import numpy as np
+from rfst import cli, imaging
+sys.setswitchinterval(1e-6)
+work = Path(sys.argv[1])
+img = imaging.GrayImage(np.random.default_rng(56).integers(0, 256, (512, 256), np.uint8))
+imaging.write_pgm(img, work / "in.pgm")
+
+def files(cpus):
+    os.sched_getaffinity = lambda pid: set(range(cpus))
+    names = (f"c{cpus}.rfc", f"b{cpus}.pgm", f"m{cpus}.pgm")
+    for action, infile, out in zip(("forward", "inverse", "mosaic"), ("in.pgm", "c1.rfc", "in.pgm"), names):
+        assert cli.main(["image", action, "--transform", "rfst", "--block", "8",
+                         "--in", str(work / infile), "--out", str(work / out)]) == 0
+    return [(work / name).read_bytes() for name in names]
+
+one = files(1)
+for _ in range(3):
+    print(*(a == b for a, b in zip(files(4), one)))
+"""
+
+
+def test_image_workers_race_nothing_under_a_short_switch_interval(tmp_path):
+    # four workers share the output file (and the mosaic plane) while the interpreter
+    # switches threads every microsecond, so a band written at a wrong offset would show
+    src = str(Path(imaging.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r})\n" + _RACE_CODE
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.split() == ["True"] * 9
+
+
 def test_image_inverse_refuses_to_write_over_its_input(tmp_path, capsys):
     _, coeff = _forward_rfst_file(tmp_path, capsys)
     blob = coeff.read_bytes()
@@ -488,10 +633,11 @@ def test_image_inverse_refuses_to_write_over_its_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("action,planes", (("forward", 0.45), ("inverse", 0.45), ("mosaic", 1.6)))
-def test_image_commands_hold_no_extra_plane(tmp_path, capsys, action, planes):
+def test_image_commands_hold_no_extra_plane(tmp_path, capsys, monkeypatch, action, planes):
     # forward: the uint8 image (1/8 plane) and two band buffers (2 x 64 of 512 rows, 1/4 plane);
     # inverse: the band the file is read into, the two band buffers and one uint8 band (3/8 + 1/64);
-    # mosaic: the uint8 image, the band buffers, the mosaic plane and its uint8 copy
+    # mosaic: the uint8 image, the band buffers, the mosaic plane and its uint8 copy.
+    # Two workers share the same bands between them, 32 rows each
     img = GrayImage(np.random.default_rng(53).integers(0, 256, size=(512, 768), dtype=np.uint8))
     src, coeff, back = tmp_path / "in.pgm", tmp_path / "c.rfc", tmp_path / "out.pgm"
     write_pgm(img, src)
@@ -503,14 +649,16 @@ def test_image_commands_hold_no_extra_plane(tmp_path, capsys, action, planes):
                        "--in", str(src), "--out", str(back))}
     for warm in argv.values():  # imports and first-call caches stay outside the trace
         assert run(capsys, *warm)[0] == 0
-    tracemalloc.start()
-    try:
-        code = main(list(argv[action]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak <= planes * 8 * img.pixels.size, peak / (8 * img.pixels.size)
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        tracemalloc.start()
+        try:
+            code = main(list(argv[action]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= planes * 8 * img.pixels.size, (cpus, peak / (8 * img.pixels.size))
 
 
 def test_bench_csv_shape(capsys):

@@ -4,6 +4,8 @@ Examples are derandomized, so every run checks the same inputs.
 """
 
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,7 +13,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rfst import imaging
-from rfst.imaging import GrayImage, forward_2d, inverse_2d, parse_pgm
+from rfst.imaging import (
+    CoeffPlane,
+    GrayImage,
+    forward_2d,
+    inverse_2d,
+    parse_pgm,
+    write_coeff_file,
+    write_pgm,
+)
 from rfst.regularity import RegularityCascade, emit_cascade_csv, rfst
 from rfst.transforms import GivensReflection, dct2, dst2, emit_matrix_text, hadamard
 
@@ -33,11 +43,12 @@ def _parse_coeff_file(data):
     return imaging._read_coeff_file(io.BytesIO(data))
 
 
-def _written(header, payload, dtype):
-    # the bytes write_pgm or write_coeff_file would put in a file
-    f = io.BytesIO()
-    imaging._write(f, header, (payload,), dtype)
-    return f.getvalue()
+def _written(write, obj):
+    # the bytes write_pgm or write_coeff_file puts in a file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        write(obj, path)
+        return path.read_bytes()
 
 
 def _header_prefixed(magic, header):
@@ -69,8 +80,7 @@ def test_parse_coeff_file_raises_only_value_error(data):
 @ROUND_TRIP
 @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=24)))
 def test_pgm_round_trip(pixels):
-    header = imaging._pgm_header(pixels.shape[1], pixels.shape[0])
-    assert np.array_equal(parse_pgm(_written(header, pixels, np.uint8)).pixels, pixels)
+    assert np.array_equal(parse_pgm(_written(write_pgm, GrayImage(pixels))).pixels, pixels)
 
 
 @ROUND_TRIP
@@ -81,8 +91,7 @@ def test_pgm_round_trip(pixels):
 )))
 def test_coeff_file_round_trip(block_values):
     block, values = block_values
-    header = imaging._coeff_header(values.shape, block, None)
-    plane = _parse_coeff_file(_written(header, values, "<f8"))
+    plane = _parse_coeff_file(_written(write_coeff_file, CoeffPlane(values, block=block)))
     assert plane.block == block
     assert np.array_equal(plane.values, values)
 
