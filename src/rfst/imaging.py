@@ -37,13 +37,18 @@ it and block layout.  BAND_ROWS was measured once and is fixed.
 forward_2d, inverse_2d and the image commands share a plane's bands
 between worker threads, one per CPU the process may run on, with one
 planner (_on_workers): the rows are split into contiguous runs of whole
-bands, each a band loop of its own on its rows, and the calling thread
-runs the first.  Bands share no memory, and numpy's matmul, scipy.fft's
-DST and positioned file I/O release the GIL.  On the dense core a
-worker's band is BAND_ROWS // workers rows, or M if larger, and there
-are never more workers than max(BAND_ROWS, M) // M, so the workers
-together hold no more scratch than one serial loop; the outputs are the
-same for every worker count.  The bench runs one worker.
+bands, one per worker, the calling thread among them, and each worker
+runs a band loop of its own down its run.  A worker whose run is done
+takes bands from the bottom of the longest run left, so a worker that
+is held up (descheduled, or waiting on the file) holds up the band it
+is on, not the rest of its run.  Once a worker fails, none takes
+another band.  Bands share no
+memory, and numpy's matmul, scipy.fft's DST and positioned file I/O
+release the GIL.  On the dense core a worker's band is BAND_ROWS //
+workers rows, or M if larger, and there are never more workers than
+max(BAND_ROWS, M) // M, so the workers together hold no more scratch
+than one serial loop; the outputs are the same for every worker count.
+The bench runs one worker.
 
 The bench adds a third route, _Unfolded, the paper's: the sine core
 rfst ships at M, then the postprocessing as a pass of its own at every
@@ -52,7 +57,7 @@ matrix, on that route, and rfst(M) as shipped.
 
 The loop yields each band as it is finished, so the CLI's image
 commands stream (_stream), and none holds a coefficient plane: in
-`rfst image forward` each worker writes every band of its run to the
+`rfst image forward` each worker writes every band it takes to the
 RFC file at the band's own offset (os.pwrite) from one band-sized
 buffer, and in `rfst image inverse` each worker reads its bands at
 their offsets in the file (_Payload, os.preadv, after one size check
@@ -76,6 +81,7 @@ passes one set of checks (_check_plane).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import functools
@@ -337,15 +343,15 @@ def _read_coeff_file(f) -> CoeffPlane:
 
 
 class _Payload:
-    """An RFC file's coefficient plane, or a run of its rows, read from the file a band at a time.
+    """An RFC file's coefficient plane, read from the file a band at a time.
 
     The header is read and every check that needs no coefficient runs
     when it is built; nothing is allocated before the payload's size
-    is checked.  A band loop then takes it, or rows(a, b), a run of its
-    own, for the plane: slicing it reads that band from its offset in
-    the file (os.preadv) into one reused buffer of the run's and checks
+    is checked.  A band loop then takes it, or reader(), a copy with a
+    buffer of its own, for the plane: slicing it reads that band from
+    its offset in the file (os.preadv) into one reused buffer and checks
     that its values are finite, so no coefficient plane is held, and
-    runs read by different threads share nothing but the file.
+    band loops in different threads share nothing but the file.
     """
 
     def __init__(self, f):
@@ -353,16 +359,15 @@ class _Payload:
         _check_plane(self.shape, self.block, self.kind)
         self._fd, self._offset, self._buffer = f.fileno(), f.tell(), None
 
-    def rows(self, a: int, b: int) -> _Payload:
-        """Rows a:b of the plane, as a _Payload with a buffer of its own."""
-        run = copy.copy(self)
-        run.shape, run._buffer = (b - a, self.shape[1]), None
-        run._offset += 8 * a * self.shape[1]
-        return run
+    def reader(self) -> _Payload:
+        """The plane again, with a buffer of its own: one per worker."""
+        reader = copy.copy(self)
+        reader._buffer = None
+        return reader
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         r, w = rows.stop - rows.start, self.shape[1]
-        if self._buffer is None:  # the first band is the tallest
+        if self._buffer is None or len(self._buffer) < r:  # a worker may take the short last band first
             self._buffer = np.empty((r, w), "<f8")
         values = self._buffer[:r]
         _read_at(self._fd, self._offset + 8 * rows.start * w, values, "coefficient payload")
@@ -399,8 +404,8 @@ def _band_rows(transform, workers: int = 1) -> int:
     return m if transform.in_place else max(BAND_ROWS // workers, m) // m * m
 
 
-def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, rows: int = 0):
-    """Yield each band of block rows of the block transform of src as soon as it is finished.
+def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, rows: int = 0, tops=None):
+    """Yield (top, band) for each band of block rows of the block transform of src, once it is finished.
 
     The transform is the core, then postprocessing, along rows, then
     columns.  transform is a FastRegularTransform or a plain matrix;
@@ -412,13 +417,15 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, rows: 
     after the row pass, C-ordered after the column pass; without a
     post, the column pass reads (inverse) or writes (forward) block
     layout directly.  src, of any layout and dtype, is only read, one
-    slice of a band's rows at a time from the top, so it may also be
-    an RFC file's _Payload.  out is a C-contiguous float64 plane of its
-    shape, which the bands fill, or None: then a band is built in a
-    band-sized buffer that the next band reuses, so a consumer takes
-    each band before asking for the next.  rows is the band height,
-    _band_rows(transform) if 0.  The inverse runs the adjoint passes in
-    reverse order.
+    slice of a band's rows at a time, so it may also be an RFC file's
+    _Payload.  out is a C-contiguous float64 plane of its shape, which
+    the bands fill, or None: then a band is built in a band-sized
+    buffer that the next band reuses, so a consumer takes each band
+    before asking for the next.  rows is the band height,
+    _band_rows(transform) if 0, and top a band's first row; tops gives
+    the tops of the bands to run, in any order, every band from the
+    top down if None.  The inverse runs the adjoint passes in reverse
+    order.
     """
     m = transform.size
     h, w = src.shape
@@ -435,7 +442,7 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, rows: 
     else:  # bands of several block rows through two band-sized scratch buffers
         scratch = np.empty((2, min(rows, h) * w))
 
-    for top in range(0, h, rows):
+    for top in range(0, h, rows) if tops is None else tops:
         r = min(rows, h - top)
         n = r * w // m  # length-M segments per pass in this band
         src_band = src[top:top + r]
@@ -468,7 +475,7 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, rows: 
             post(y.reshape(m, n))
             if subband_major and scratch is not None:
                 np.copyto(band.reshape(r // m, m, w), columns)
-        yield band
+        yield top, band
 
 
 def _fill(bands, out: np.ndarray) -> np.ndarray:
@@ -508,7 +515,7 @@ def _in_threads(runs) -> None:
 
 
 def _on_workers(h: int, transform, inverse: bool, work) -> None:
-    """Call work(a, b, rows) once per worker, each on rows a:b of a plane h rows tall.
+    """Call work(tops, rows) once per worker, to run the bands of a plane h rows tall.
 
     One worker per CPU this process may run on (os.sched_getaffinity;
     one where that does not exist), never more than bands and, on the
@@ -516,8 +523,16 @@ def _on_workers(h: int, transform, inverse: bool, work) -> None:
     workers' scratch buffers together are no larger than those of one
     serial loop.  Bands are rows = _band_rows(transform, workers) tall,
     and the plane's rows are split into contiguous runs of whole bands,
-    one per worker, each run as a band loop of its own; the workers run
-    in threads (_in_threads).  One worker is the serial loop.
+    one per worker.  Each worker runs a band loop of its own over tops,
+    which hands it the first row of the next band of its run, from the
+    top down, and once its run is done the last band of the longest
+    run left, until no band is left or a worker has failed.  A worker
+    held up on one band thus leaves the rest of its run to the others,
+    while each worker, unless it is held up, keeps to its own rows:
+    handing out every band in turn instead made inverse_2d's median 15%
+    slower (2048^2, M=8, two workers on a shared 2-core x86-64 host).
+    The workers run in threads (_in_threads); one worker is the serial
+    loop.
     """
     m = transform.size
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -531,31 +546,48 @@ def _on_workers(h: int, transform, inverse: bool, work) -> None:
         empty = np.empty((0, m))
         transform._along(empty, empty.copy(), inverse)
     cuts = [min(h, i * bands // workers * rows) for i in range(workers + 1)]
-    _in_threads([functools.partial(work, a, b, rows) for a, b in zip(cuts, cuts[1:])])
+    runs = [collections.deque(range(a, b, rows)) for a, b in zip(cuts, cuts[1:])]
+    lock, failed = threading.Lock(), threading.Event()
+
+    def tops(own):
+        while True:
+            with lock:
+                longest = max(runs, key=len)
+                if failed.is_set() or not longest:
+                    return
+                top = own.popleft() if own else longest.pop()
+            yield top
+
+    def run(own):
+        try:
+            work(tops(own), rows)
+        except BaseException:
+            failed.set()  # the other workers finish the band they hold and take no other
+            raise
+
+    _in_threads([functools.partial(run, own) for own in runs])
 
 
 def _fill_in_threads(src, out: np.ndarray, transform, inverse: bool) -> np.ndarray:
     """Run the band loop from src into out, a whole plane, on worker threads; returns out."""
-    def work(a, b, rows):
-        _fill(_blockwise_2d(src[a:b], out[a:b], transform, inverse, rows), None)
+    def work(tops, rows):
+        _fill(_blockwise_2d(src, out, transform, inverse, rows, tops), None)
 
     _on_workers(src.shape[0], transform, inverse, work)
     return out
 
 
 def _stream(h: int, transform, inverse: bool, source, put) -> None:
-    """Run the band loop with no output plane on worker threads, as _on_workers splits it.
+    """Run the band loop with no output plane on worker threads, as _on_workers shares it.
 
-    source(a, b) gives a worker its rows a:b of the plane, and put(top,
-    band) takes each band, whose first row in the plane is top, as soon
-    as it is finished, in the worker's thread: before put returns, as
-    the worker's next band reuses the buffer.
+    source() gives a worker the plane, h rows tall, to read its bands
+    from, and put(top, band) takes each band, whose first row in the
+    plane is top, as soon as it is finished, in the worker's thread:
+    before put returns, as the worker's next band reuses the buffer.
     """
-    def work(a, b, rows):
-        top = a
-        for band in _blockwise_2d(source(a, b), None, transform, inverse, rows):
+    def work(tops, rows):
+        for top, band in _blockwise_2d(source(), None, transform, inverse, rows, tops):
             put(top, band)
-            top += len(band)
 
     _on_workers(h, transform, inverse, work)
 
@@ -604,7 +636,7 @@ def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
 def _forward_file(img: GrayImage, transform, path) -> None:
     """Write forward_2d(img, transform) to path as an RFC file, each band at its own offset.
 
-    The workers write every band to the file while it is in cache; no
+    The workers write each band to the file while it is in cache; no
     coefficient plane is held.  If anything fails, no partial file is
     left.  The image's size is checked against the transform's by the
     caller, as for _mosaic_file.
@@ -613,7 +645,7 @@ def _forward_file(img: GrayImage, transform, path) -> None:
     header = _coeff_header(img.pixels.shape, transform.size, transform.kind)
     with _output(path, len(header) + 8 * h * w) as fd:
         _write_at(fd, 0, header)
-        _stream(h, transform, False, lambda a, b: img.pixels[a:b],
+        _stream(h, transform, False, lambda: img.pixels,
                 lambda top, band: _write_at(fd, len(header) + 8 * top * w,
                                             np.ascontiguousarray(band, "<f8")))
 
@@ -636,7 +668,7 @@ def _inverse_file(payload: _Payload, transform, path) -> None:
             _write_at(fd, len(header) + top * w, band.astype(np.uint8))
 
         _write_at(fd, 0, header)
-        _stream(h, transform, True, payload.rows, put)
+        _stream(h, transform, True, payload.reader, put)
 
 
 def _mosaic_file(img: GrayImage, transform, path) -> None:
@@ -644,7 +676,7 @@ def _mosaic_file(img: GrayImage, transform, path) -> None:
     h, w = img.pixels.shape
     header = _pgm_header(w, h)
     with _output(path, len(header) + h * w) as fd:  # a pipe is refused before the transform runs
-        fill = functools.partial(_stream, h, transform, False, lambda a, b: img.pixels[a:b])
+        fill = functools.partial(_stream, h, transform, False, lambda: img.pixels)
         mosaic = _mosaic(fill, img.pixels.shape, transform.size)
         _write_at(fd, 0, header, mosaic.pixels)
 

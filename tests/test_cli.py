@@ -418,10 +418,27 @@ def _record_pwrites(monkeypatch, fail_at=None, path=None):
     return written
 
 
+def _assert_bands_written(written, header, row_bytes, tops, cpus):
+    """The header and the bands at tops were written, each once, and nothing else.
+
+    On one worker every band at tops is written before the failing one.
+    On more, a worker whose run is done may take the failing band from
+    the end of another's run, and once it fails no worker takes another
+    band, so only some of them may be.
+    """
+    offsets = sorted(at for at, _ in written)
+    bands = [header + row_bytes * top for top in tops]
+    if cpus == 1:
+        assert offsets == [0] + bands
+    else:
+        assert offsets[0] == 0 and len(set(offsets)) == len(offsets) and set(offsets[1:]) <= set(bands)
+
+
 @pytest.mark.parametrize("bad", (np.nan, np.inf), ids=("nan", "inf"))
 def test_image_inverse_rejects_a_bad_value_in_the_last_band(tmp_path, capsys, monkeypatch, bad):
-    # three bands of BAND_ROWS rows on one worker, six of BAND_ROWS // 2 on two, where the
-    # last is in the second worker's run: every other band reaches the PGM before the error
+    # three bands of BAND_ROWS rows on one worker, which writes every other band to the
+    # PGM before the error; six of BAND_ROWS // 2 on two, where the other worker may take
+    # the bad band from the end of a run before bands it then never takes
     values = np.zeros((3 * BAND_ROWS, 16))
     values[-1, 5] = bad
     coeff, out = tmp_path / "c.rfc", tmp_path / "o.pgm"
@@ -435,8 +452,7 @@ def test_image_inverse_rejects_a_bad_value_in_the_last_band(tmp_path, capsys, mo
                                 "--block", "8", "--in", str(coeff), "--out", str(out))
         assert (code, stdout) == (1, "")
         assert err == "rfst: error: coefficient payload holds NaN or infinite values\n"
-        tops = _band_tops(3 * BAND_ROWS, cpus)[:-1]
-        assert sorted(offset for offset, _ in written) == [0] + [header + 16 * top for top in tops]
+        _assert_bands_written(written, header, 16, _band_tops(3 * BAND_ROWS, cpus)[:-1], cpus)
         assert not out.exists()
         assert threading.active_count() == baseline
 
@@ -467,7 +483,7 @@ def test_image_inverse_rejects_a_payload_that_shrinks_while_read(tmp_path, capsy
 
 @pytest.mark.parametrize("where", ("band-loop", "write"))
 def test_failed_image_forward_leaves_no_file(tmp_path, capsys, monkeypatch, where):
-    # on two CPUs the failing band is in the second worker's run
+    # on two CPUs the failing band is the last of the second worker's run
     src, out = tmp_path / "in.pgm", tmp_path / "c.rfc"
     write_pgm(_random_image(np.random.default_rng(54), 3 * BAND_ROWS, 16), src)
     baseline = threading.active_count()
@@ -483,7 +499,7 @@ def test_failed_image_forward_leaves_no_file(tmp_path, capsys, monkeypatch, wher
 
             monkeypatch.setattr(imaging, "_blockwise_2d", failing)
         else:
-            # the last band's write fails, after the header and every other band reached the file
+            # the last band's write fails; the file then holds every write that returned
             tops = _band_tops(3 * BAND_ROWS, cpus)
             written = _record_pwrites(monkeypatch, fail_at=20 + 8 * 16 * tops[-1], path=out)
         code, stdout, err = run(capsys, "image", "forward", "--transform", "rfst",
@@ -493,7 +509,7 @@ def test_failed_image_forward_leaves_no_file(tmp_path, capsys, monkeypatch, wher
         assert not out.exists()
         assert threading.active_count() == baseline
         if where == "write":
-            assert sorted(at for at, _ in written) == [0] + [20 + 8 * 16 * top for top in tops[:-1]]
+            _assert_bands_written(written, 20, 8 * 16, tops[:-1], cpus)
         monkeypatch.undo()
 
 

@@ -457,6 +457,46 @@ def test_a_one_band_plane_starts_no_thread(monkeypatch, cpus):
         assert np.abs(inverse_2d(forward_2d(img, t), t) - img.pixels).max() <= 1e-9
 
 
+def test_a_held_up_worker_leaves_its_bands_to_the_others(monkeypatch):
+    # 16 bands of 32 rows on two workers: the one that takes the first band holds it
+    # until all 16 are taken, which the other does only if it takes the rest of the
+    # first worker's run after its own
+    _on_cpus(monkeypatch, 2)
+    rest, taken, lock = threading.Event(), [], threading.Lock()
+
+    def work(tops, rows):
+        for top in tops:
+            with lock:
+                taken.append(top)
+                if len(taken) == 16:
+                    rest.set()
+            if top == 0:
+                assert rest.wait(10), "the other worker left bands untaken"
+
+    imaging._on_workers(16 * 32, rfst(8), False, work)
+    assert sorted(taken) == list(range(0, 16 * 32, 32))
+
+
+def test_no_band_is_taken_after_a_worker_fails(monkeypatch):
+    # the worker that takes the first band fails; the other finishes the band it holds
+    # and takes no other, where it would otherwise run the 15 bands left
+    _on_cpus(monkeypatch, 2)
+    failing, others = threading.Event(), []
+
+    def work(tops, rows):
+        for top in tops:
+            if top == 0:
+                failing.set()
+                raise OSError("band failed")
+            others.append(top)
+            assert failing.wait(10)
+            time.sleep(0.01)  # past the failing worker's raise
+
+    with pytest.raises(OSError, match="band failed"):
+        imaging._on_workers(16 * 32, rfst(8), False, work)
+    assert len(others) <= 1
+
+
 def test_every_worker_thread_is_joined(monkeypatch):
     # the core sleeps in the worker threads, so a worker still running when the call
     # returns or raises would be counted; with fail set, the second core call in a
