@@ -126,10 +126,10 @@ def _cmd_equiv(args) -> int:
 def _cmd_freq(args) -> int:
     transform = TRANSFORMS[args.type](args.size)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     width = len(str(args.size - 1))
     for row in range(args.size):
         fr = analysis.frequency_response(transform, row, args.points)
+        out_dir.mkdir(parents=True, exist_ok=True)  # once the first row has passed the checks
         (out_dir / f"row_{row:0{width}d}.csv").write_text(
             analysis.frequency_response_csv(fr)
         )

@@ -74,8 +74,10 @@ whole and handed to parse_pgm, so it may come from a pipe; an RFC2
 payload is read after a size check, so its input must be seekable.
 Every output is written at offsets (_output), so it must be seekable
 too; it is not truncated when opened, but cut to its size once.
-read_coeff_file and `rfst image inverse` read the header with one
-function and check values with one function, and a plane read or built
+Each format has one reader: parse_pgm for a PGM's bytes, and _Payload
+for an RFC file, which read_coeff_file reads whole and `rfst image
+inverse` band by band: both check the header, the payload's size and
+the plane's shape before they allocate, and a plane read or built
 passes one set of checks (_check_plane).
 """
 
@@ -85,7 +87,6 @@ import collections
 import contextlib
 import copy
 import functools
-import io
 import os
 import stat
 import threading
@@ -171,30 +172,16 @@ def _check_plane(shape, block: int, kind: str | None) -> None:
         raise ValueError(f"plane dimensions {w}x{h} not divisible by block size {block}")
 
 
-def _check_payload(f, nbytes: int, what: str) -> None:
-    """Check that f holds exactly nbytes from its position to its end, and leave f there.
+def _check_payload(size: int, nbytes: int, what: str) -> None:
+    """Check that size, the bytes an input holds after its header, is the nbytes the header claims.
 
     This runs before anything is allocated, so a header that claims a
-    huge plane fails as truncated; an input that cannot be sized, such
-    as a pipe, is refused.
+    huge plane fails as truncated.
     """
-    if not f.seekable():
-        raise ValueError(
-            f"cannot read the {what} from a pipe or another input that is not seekable")
-    start = f.tell()
-    size = f.seek(0, io.SEEK_END) - start
     if size < nbytes:
         raise ValueError(f"truncated {what}")
     if size > nbytes:
         raise ValueError(f"trailing bytes after {what}")
-    f.seek(start)
-
-
-def _read_into(f, values: np.ndarray, what: str) -> np.ndarray:
-    """Fill values, a C-ordered array, from f's next bytes; returns values."""
-    if f.readinto(values) != values.nbytes:  # the file shrank after it was sized
-        raise ValueError(f"truncated {what}")
-    return values
 
 
 def _read_at(fd: int, offset: int, values: np.ndarray, what: str) -> np.ndarray:
@@ -284,10 +271,9 @@ def parse_pgm(data: bytes) -> GrayImage:
         raise ValueError("bad PGM dimensions")
     if not 0 < maxval <= 255:
         raise ValueError(f"unsupported PGM maxval {maxval} (8-bit only)")
-    raster = io.BytesIO(data)
-    raster.seek(pos + 1)  # single whitespace byte separating header from raster
-    _check_payload(raster, height * width, "PGM raster")
-    pixels = _read_into(raster, np.empty((height, width), np.uint8), "PGM raster")
+    pos += 1  # single whitespace byte separating header from raster
+    _check_payload(len(data) - pos, height * width, "PGM raster")
+    pixels = np.frombuffer(data, np.uint8, height * width, pos).reshape(height, width).copy()
     if maxval < 255 and pixels.max() > maxval:
         raise ValueError(f"PGM pixel value {pixels.max()} exceeds maxval {maxval}")
     return GrayImage(pixels)
@@ -310,24 +296,6 @@ def _coeff_header(shape, block: int, kind: str | None) -> bytes:
     return COEFF_MAGIC + np.array([width, height, block, kind_id], dtype="<u4").tobytes()
 
 
-def _read_coeff_header(f):
-    """The (height, width), block and kind of the RFC file f, with f left at its payload.
-
-    Checked in this order: magic, header length, transform id, then the
-    payload's size against the header's, before anything is allocated.
-    """
-    head = f.read(20)
-    if head[:4] != COEFF_MAGIC:
-        raise ValueError("not a coefficient file (bad magic)")
-    if len(head) < 20:
-        raise ValueError("truncated coefficient header")
-    width, height, block, kind_id = np.frombuffer(head, "<u4", 4, 4).tolist()
-    if kind_id > len(KINDS):
-        raise ValueError(f"unknown transform id {kind_id} in coefficient header")
-    _check_payload(f, 8 * height * width, "coefficient payload")
-    return (height, width), block, KINDS[kind_id - 1] if kind_id else None
-
-
 def _check_finite(values: np.ndarray) -> np.ndarray:
     """values, rows of an RFC payload, once every one is checked to be finite."""
     # a NaN propagates through min and max, and an infinity is one of them: no mask is needed
@@ -336,28 +304,38 @@ def _check_finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _read_coeff_file(f) -> CoeffPlane:
-    shape, block, kind = _read_coeff_header(f)
-    values = _read_into(f, np.empty(shape, "<f8"), "coefficient payload")
-    return CoeffPlane(_check_finite(values), block=block, kind=kind)
-
-
 class _Payload:
     """An RFC file's coefficient plane, read from the file a band at a time.
 
     The header is read and every check that needs no coefficient runs
-    when it is built; nothing is allocated before the payload's size
-    is checked.  A band loop then takes it, or reader(), a copy with a
+    when it is built, the payload's size and the plane's shape and
+    block (_check_plane) among them, so nothing is allocated for a bad
+    header.  A band loop then takes it, or reader(), a copy with a
     buffer of its own, for the plane: slicing it reads that band from
     its offset in the file (os.preadv) into one reused buffer and checks
     that its values are finite, so no coefficient plane is held, and
     band loops in different threads share nothing but the file.
+    read_coeff_file slices all of its rows at once.
     """
 
     def __init__(self, f):
-        self.shape, self.block, self.kind = _read_coeff_header(f)
-        _check_plane(self.shape, self.block, self.kind)
+        head = f.read(20)
+        if head[:4] != COEFF_MAGIC:
+            raise ValueError("not a coefficient file (bad magic)")
+        if len(head) < 20:
+            raise ValueError("truncated coefficient header")
+        width, height, block, kind_id = np.frombuffer(head, "<u4", 4, 4).tolist()
+        if kind_id > len(KINDS):
+            raise ValueError(f"unknown transform id {kind_id} in coefficient header")
+        if not f.seekable():
+            raise ValueError("cannot read the coefficient payload from a pipe or another "
+                             "input that is not seekable")
         self._fd, self._offset, self._buffer = f.fileno(), f.tell(), None
+        _check_payload(f.seek(0, os.SEEK_END) - self._offset, 8 * height * width,
+                       "coefficient payload")
+        self.shape, self.block = (height, width), block
+        self.kind = KINDS[kind_id - 1] if kind_id else None
+        _check_plane(self.shape, self.block, self.kind)
 
     def reader(self) -> _Payload:
         """The plane again, with a buffer of its own: one per worker."""
@@ -369,14 +347,16 @@ class _Payload:
         r, w = rows.stop - rows.start, self.shape[1]
         if self._buffer is None or len(self._buffer) < r:  # a worker may take the short last band first
             self._buffer = np.empty((r, w), "<f8")
-        values = self._buffer[:r]
+        # all of a buffer is handed out as itself, so read_coeff_file's plane owns its data
+        values = self._buffer if len(self._buffer) == r else self._buffer[:r]
         _read_at(self._fd, self._offset + 8 * rows.start * w, values, "coefficient payload")
         return _check_finite(values)
 
 
 def read_coeff_file(path) -> CoeffPlane:
     with open(path, "rb") as f:
-        return _read_coeff_file(f)
+        payload = _Payload(f)
+        return CoeffPlane(payload[0:payload.shape[0]], block=payload.block, kind=payload.kind)
 
 
 def write_coeff_file(plane: CoeffPlane, path) -> None:

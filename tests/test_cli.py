@@ -195,6 +195,16 @@ def test_freq_writes_row_files(tmp_path, capsys):
     assert float(lines[1].split(",")[1]) == pytest.approx(4.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("points", ("1", "0"))
+def test_freq_checks_its_arguments_before_making_out(tmp_path, capsys, points):
+    out_dir = tmp_path / "responses"
+    code, stdout, err = run(capsys, "freq", "--type", "rfst", "--size", "8",
+                            "--points", points, "--out", str(out_dir))
+    assert (code, stdout) == (1, "")
+    assert err == "rfst: error: need at least two frequency samples\n"
+    assert not out_dir.exists()
+
+
 def test_image_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(41)
     src = tmp_path / "in.pgm"
@@ -319,6 +329,46 @@ def test_image_inverse_rejects_empty_or_nan_planes(tmp_path, capsys, width, payl
                             "--block", "8", "--in", str(coeff), "--out", str(out))
     assert code == 1 and stdout == ""
     assert err.startswith("rfst: error:")
+    assert not out.exists()
+
+
+def _rfc(width=16, height=8, block=8, kind_id=0, bad=None):
+    # an RFC2 file of zeros, with bad, if given, as its last coefficient
+    values = np.zeros((height, width), "<f8")
+    if bad is not None:
+        values[-1, -1] = bad
+    return b"RFC2" + np.array([width, height, block, kind_id], dtype="<u4").tobytes() + values.tobytes()
+
+
+_BAD_RFC_FILES = {
+    "bad-magic": (b"JUNK" + _rfc()[4:], "bad magic"),
+    "rfc1": (b"RFC1" + _rfc()[4:], "bad magic"),
+    "short-header": (_rfc()[:12], "truncated coefficient header"),
+    "unknown-id": (_rfc(kind_id=99), "unknown transform id 99"),
+    "block-0": (_rfc(block=0), "power of two"),
+    "block-3": (_rfc(block=3), "power of two"),
+    "empty": (_rfc(width=0), "empty coefficient plane"),
+    "not-divisible": (_rfc(width=12), "not divisible by block size 8"),
+    "truncated": (_rfc()[:-8], "truncated coefficient payload"),
+    "trailing": (_rfc() + bytes(8), "trailing bytes"),
+    "nan": (_rfc(bad=np.nan), "NaN or infinite"),
+    "inf": (_rfc(bad=np.inf), "NaN or infinite"),
+    "-inf": (_rfc(bad=-np.inf), "NaN or infinite"),
+    "block-3-nan": (_rfc(block=3, bad=np.nan), "power of two"),  # the plane is checked first
+}
+
+
+@pytest.mark.parametrize("blob,message", _BAD_RFC_FILES.values(), ids=_BAD_RFC_FILES.keys())
+def test_library_and_image_inverse_reject_a_bad_coefficient_file_alike(tmp_path, capsys, blob,
+                                                                      message):
+    coeff, out = tmp_path / "c.rfc", tmp_path / "o.pgm"
+    coeff.write_bytes(blob)
+    with pytest.raises(ValueError, match=message) as library:
+        read_coeff_file(coeff)
+    code, stdout, err = run(capsys, "image", "inverse", "--transform", "rfst",
+                            "--block", "8", "--in", str(coeff), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == f"rfst: error: {library.value}\n"
     assert not out.exists()
 
 

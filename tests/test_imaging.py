@@ -213,14 +213,20 @@ def test_codecs_copy_their_payload_once(tmp_path):
     assert (tmp_path / "w.pgm").read_bytes() == raster
 
 
-def test_huge_coefficient_header_fails_before_allocating(tmp_path):
+@pytest.mark.parametrize("side,block,payload,message", [
     # a 20-byte file whose header claims a 65535 x 65535 plane (32 GiB)
-    blob = b"RFC2" + np.array([65535, 65535, 8, 0], dtype="<u4").tobytes()
+    (65535, 8, 0, "^truncated coefficient payload$"),
+    # a whole 512 x 512 payload (2 MiB) under a header whose block is no power of two
+    (512, 0, 8 * 512 * 512, "power of two"),
+    (512, 3, 8 * 512 * 512, "power of two"),
+], ids=["huge", "block-0", "block-3"])
+def test_huge_coefficient_header_fails_before_allocating(tmp_path, side, block, payload, message):
+    blob = b"RFC2" + np.array([side, side, block, 0], dtype="<u4").tobytes() + bytes(payload)
     path = tmp_path / "huge.rfc"
     path.write_bytes(blob)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="^truncated coefficient payload$"):
+        with pytest.raises(ValueError, match=message):
             read_coeff_file(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

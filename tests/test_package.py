@@ -54,8 +54,9 @@ def test_source_has_no_assert_statements():
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    # a public function or class of a submodule is referenced by the package, the CLI or
-    # the benchmark, not by the tests alone; its own def or class line does not count
+    # a function or class of a submodule, public or private, is referenced by the package,
+    # the CLI or the benchmark, not by the tests alone; its own def or class line does not
+    # count
     programs = sorted(SRC.glob("*.py")) + sorted(
         path for path in BENCH.glob("*.py") if not path.name.startswith("test_"))
     defined, referenced = {}, set()
@@ -64,8 +65,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if path.parent == SRC:
             defined.update(
                 (node.name, path.name) for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_"))
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)

@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rfst import imaging
 from rfst.imaging import (
     CoeffPlane,
     GrayImage,
     forward_2d,
     inverse_2d,
     parse_pgm,
+    read_coeff_file,
     write_coeff_file,
     write_pgm,
 )
@@ -40,7 +40,11 @@ def _only_value_error(parse, data):
 
 
 def _parse_coeff_file(data):
-    return imaging._read_coeff_file(io.BytesIO(data))
+    # read_coeff_file reads a file at offsets, so each example goes through one
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.rfc"
+        path.write_bytes(data)
+        return read_coeff_file(path)
 
 
 def _written(write, obj):
