@@ -106,13 +106,14 @@ COEFF_MAGIC = b"RFC2"
 # that share a plane (_band_rows): rows, not bytes, so outputs do not depend on
 # the machine; at 64 rows of 2048 columns the two scratch buffers fill a 2 MiB
 # L2.  Ranges of 6 medians of 11 one-worker calls (a shared 2-core x86-64 host,
-# 2048^2, ms), and criterion 9's margin, bench_postprocessing(8, 512, 25):
+# one BLAS thread, 2048^2, ms), and criterion 9's margin (dense half - cascade)
+# / dense half, 6 calls of bench_postprocessing(8, 512, 25), all won by the cascade:
 #   rows       16      32      64     128     256    2048
-#   M=8 fwd  23-32   25-31   23-33   26-35   29-37   56-64
-#       inv  22-26   20-28   23-31   29-35   30-34   52-61
-#   M=64 fwd                 50-60   50-64   61-73   83-98
-#       inv                  48-66   54-64   63-75   82-93
-#   margin   6-10%  13-18%  14-23%  24-26%                  (512 rows: 21-25%)
+#   M=8 fwd  12-16   10-14   15-19   16-18   16-17   27-34
+#       inv  12-17    9-14   13-18   14-17   15-16   20-27
+#   M=64 fwd                 42-47   36-48   42-48   58-71
+#       inv                  39-44   36-46   40-46   52-59
+#   margin    1-4%  10-14%  21-25%  19-29%                  (512 rows: 20-25%)
 BAND_ROWS = 64
 
 
@@ -522,9 +523,12 @@ def _on_workers(h: int, transform, inverse: bool, work) -> None:
     bands = -(-h // rows)
     workers = min(workers, bands)
     if workers > 1 and not transform.in_place:
-        # the dense core builds its matrix on first use: build it here, once for every worker
-        empty = np.empty((0, m))
-        transform._along(empty, empty.copy(), inverse)
+        # the dense core builds its matrix and that matrix's transpose on first use, the
+        # row pass (2-D) using one and the column pass (3-D) the other: build both here,
+        # once for every worker
+        for shape in ((0, m), (0, m, 0)):
+            empty = np.empty(shape)
+            transform._along(empty, empty.copy(), inverse)
     cuts = [min(h, i * bands // workers * rows) for i in range(workers + 1)]
     runs = [collections.deque(range(a, b, rows)) for a, b in zip(cuts, cuts[1:])]
     lock, failed = threading.Lock(), threading.Event()
@@ -595,10 +599,10 @@ def forward_2d(img: GrayImage, transform) -> CoeffPlane:
     Threads share the plane's bands, one per CPU this process may run
     on (os.sched_getaffinity), each on rows of its own; the output does
     not depend on their number.  The dense core's products also run on
-    the BLAS's threads: with OpenBLAS at one thread per CPU, on a 2-CPU
-    x86-64 host at 2048^2 and M=8, two workers took 2-4% longer than
-    one here and 10-20% less in inverse_2d; with OpenBLAS at one thread
-    (OPENBLAS_NUM_THREADS=1), 30-45% less in both.
+    the BLAS's threads: on a 2-CPU x86-64 host at 2048^2 and M=8, two
+    workers took 25-70% less than one, here and in inverse_2d, with
+    OpenBLAS at one thread per CPU, and 35-60% less with OpenBLAS at one
+    thread (OPENBLAS_NUM_THREADS=1).
     """
     _check_divisible(img.pixels.shape, _block_size(transform))
     values = np.empty(img.pixels.shape)

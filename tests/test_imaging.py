@@ -357,6 +357,37 @@ def _on_cpus(monkeypatch, count):
     monkeypatch.setattr(imaging.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def test_fft_route_builds_no_transpose(monkeypatch):
+    # the FFT route never runs the dense core's product, so it holds no second M x M
+    # matrix, even with the dense core built
+    _on_cpus(monkeypatch, 2)
+    img = _random_image(np.random.default_rng(58), 2 * FFT_MIN_SIZE, 2 * FFT_MIN_SIZE)
+    t = rfst(FFT_MIN_SIZE)
+    core = t.core
+    assert np.abs(inverse_2d(forward_2d(img, t), t) - img.pixels).max() <= 1e-9
+    assert "_transposed" not in vars(core)
+    assert "_matrix" not in vars(t)
+
+
+@pytest.mark.parametrize("inverse", (False, True), ids=("forward", "inverse"))
+@pytest.mark.parametrize("make,dense", (
+    (rfst, lambda t: t.as_matrix()),
+    (dct2, lambda t: t),
+    (lambda m: imaging._Unfolded(rfst(m).cascade), lambda t: t.core),
+), ids=("rfst", "dct", "unfolded"))
+def test_workers_start_with_every_matrix_built(monkeypatch, make, dense, inverse):
+    # the row pass runs one of entries and its transpose and the column pass the
+    # other: both are built before the threads start, never by two workers at once
+    _on_cpus(monkeypatch, 2)
+    t = make(8)
+    matrix = dense(t)
+    assert "_transposed" not in vars(matrix)
+    workers = []
+    imaging._on_workers(16 * 32, t, inverse, lambda tops, rows: workers.append(rows))
+    assert workers == [32, 32]
+    assert "_transposed" in vars(matrix)
+
+
 @pytest.mark.parametrize("m,planes,rows,cpus", [
     pytest.param(m, planes, rows, cpus, id=f"{m}-{planes}" + ("" if cpus == 1 else f"-{cpus}-cpus"))
     for m, planes, rows in ((8, 1.3, 512), (128, 1.3, 1024), (FFT_MIN_SIZE, 1.1, 512))

@@ -160,6 +160,47 @@ def test_transform_entries_are_read_only():
         t.entries[0, 0] = 0.0
 
 
+def _dense_families(m):
+    return dct2(m), dst2(m), hadamard(m), rfst(m).as_matrix()
+
+
+@pytest.mark.parametrize("m", (2, 4, 8, 16, 32, 64, 128))
+def test_products_equal_the_transposed_view_products_bit_for_bit(m):
+    # _along hands BLAS entries or its contiguous transpose, never a transposed view,
+    # and must give the view's products bit for bit on the shapes a band of a plane
+    # w wide runs on one and on two workers: the row pass's n = rows * w / M
+    # segments, (n, M), and the column pass's block rows, (rows / M, M, w).
+    # Products small enough for OpenBLAS's small-matrix kernels (at M = 32, n <= 37
+    # with an AVX-512 x86-64 kernel) may round in another order with a view
+    # operand, so a 32 x 32 plane at M = 32 is not among these shapes
+    rng = np.random.default_rng(64)
+    for rows in {max(64 // workers, m) // m * m for workers in (1, 2)}:
+        for w in (4 * m, 2048):
+            x2 = rng.standard_normal((rows * w // m, m))
+            x3 = rng.standard_normal((rows // m, m, w))
+            for t in _dense_families(m):
+                e = t.entries
+                for x, inverse, want in ((x2, False, np.matmul(x2, e.T)),
+                                         (x2, True, np.matmul(x2, e)),
+                                         (x3, False, np.matmul(e, x3)),
+                                         (x3, True, np.matmul(e.T, x3))):
+                    y = np.empty_like(x)
+                    t._along(x, y, inverse)
+                    assert np.array_equal(y, want), (t.kind, x.shape, inverse)
+
+
+@pytest.mark.parametrize("index", range(4), ids=("dct", "dst", "ht", "rfst"))
+def test_cached_transpose_is_contiguous_read_only_and_built_once(index):
+    t = _dense_families(8)[index]
+    assert "_transposed" not in vars(t)  # built on first use, not on construction
+    transposed = t._transposed
+    assert transposed.flags.c_contiguous and not transposed.flags.writeable
+    assert np.array_equal(transposed, t.entries.T)
+    assert t._transposed is transposed
+    with pytest.raises(ValueError):
+        transposed[0, 0] = 0.0
+
+
 def test_transform_apply_shapes():
     t = dct2(4)
     rng = np.random.default_rng(3)
