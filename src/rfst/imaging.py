@@ -69,16 +69,18 @@ after part of the PGM is written, and that partial file is removed.
 the one mosaic plane.
 
 Images are binary PGM (P5) and coefficient planes RFC2 files (see
-_coeff_header), each read and written through a path.  A PGM is read
-whole and handed to parse_pgm, so it may come from a pipe; an RFC2
-payload is read after a size check, so its input must be seekable.
-Every output is written at offsets (_output), so it must be seekable
-too; it is not truncated when opened, but cut to its size once.
-Each format has one reader: parse_pgm for a PGM's bytes, and _Payload
-for an RFC file, which read_coeff_file reads whole and `rfst image
-inverse` band by band: both check the header, the payload's size and
-the plane's shape before they allocate, and a plane read or built
-passes one set of checks (_check_plane).
+_coeff_header), each read and written through a path.  Every output
+is written at offsets (_output), so it must be seekable; it is not
+truncated when opened, but cut to its size once.  Each format has one
+reader, which checks the header and the payload's size before it
+allocates anything plane-sized.  parse_pgm reads a PGM from a binary
+file object: read_pgm's open file, or bytes as io.BytesIO.  A seekable
+input's raster is read straight into the pixel array; a pipe's is read
+whole and copied once, so a PGM may come from a pipe.  _Payload reads
+an RFC file, whole in read_coeff_file and band by band in `rfst image
+inverse`; it also checks the plane's shape before it allocates, and
+its size check needs a seekable input.  A plane read or built passes
+one set of checks (_check_plane).
 """
 
 from __future__ import annotations
@@ -115,6 +117,13 @@ COEFF_MAGIC = b"RFC2"
 #       inv                  39-44   36-46   40-46   52-59
 #   margin    1-4%  10-14%  21-25%  19-29%                  (512 rows: 20-25%)
 BAND_ROWS = 64
+
+# The most work one bench_postprocessing call may ask for: repeats x image pixels x 3
+# routes, each route one pass of a pixel through forward_2d's pipeline.  One pass took
+# 3-5 ns per pixel at M=8, 27 at M=1024 (2048^2) and 48 at M=4096 (4096^2) on a shared
+# 2-core x86-64 host with one BLAS thread, so this bounds a call to about a minute
+# at the largest M, and criterion 9's call (M=8, 512^2, 25 repeats) asks for 2% of it.
+BENCH_MAX_WORK = 2**30
 
 
 @dataclass(frozen=True)
@@ -238,27 +247,31 @@ def _pgm_header(width: int, height: int) -> bytes:
     return f"P5\n{width} {height}\n255\n".encode("ascii")
 
 
-def parse_pgm(data: bytes) -> GrayImage:
-    """Parse a binary (P5) PGM with maxval up to 255; comments are allowed."""
-    pos = 0
+def parse_pgm(f) -> GrayImage:
+    """Read a binary (P5) PGM with maxval up to 255 from f, a binary file object; comments are allowed.
+
+    This is the one PGM reader: read_pgm hands it an open file, and PGM
+    bytes come in as io.BytesIO.  The header is read a token at a time
+    through f's buffer.  The raster's size is then checked against what
+    f holds after the header before anything plane-sized is allocated,
+    so a header that claims a huge image fails as truncated: a seekable
+    f (a regular file, or bytes) is sized by seeking to its end, and its
+    raster is read straight into the pixel array; a pipe is sized by the
+    bytes it holds, which are read whole and copied once into the array.
+    """
 
     def next_token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos : pos + 1]
-            if ch == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError("truncated PGM header")
-        return data[start:pos]
+        token = bytearray()
+        while True:
+            ch = f.read(1)
+            if ch == b"#" and not token:
+                f.readline()  # a comment runs to the end of its line, however long
+            elif ch and not ch.isspace():
+                token += ch
+            elif token:  # the one whitespace byte after the token is read with it
+                return bytes(token)
+            elif not ch:
+                raise ValueError("truncated PGM header")
 
     if next_token() != b"P5":
         raise ValueError("not a binary PGM (missing P5 magic)")
@@ -272,16 +285,30 @@ def parse_pgm(data: bytes) -> GrayImage:
         raise ValueError("bad PGM dimensions")
     if not 0 < maxval <= 255:
         raise ValueError(f"unsupported PGM maxval {maxval} (8-bit only)")
-    pos += 1  # single whitespace byte separating header from raster
-    _check_payload(len(data) - pos, height * width, "PGM raster")
-    pixels = np.frombuffer(data, np.uint8, height * width, pos).reshape(height, width).copy()
+    if f.seekable():
+        start = f.tell()
+        _check_payload(f.seek(0, os.SEEK_END) - start, height * width, "PGM raster")
+        f.seek(start)
+        pixels = np.empty((height, width), np.uint8)
+        view = memoryview(pixels).cast("B")
+        while view:  # a read stops short at the end of a file that shrank after it was sized
+            n = f.readinto(view)
+            if not n:
+                raise ValueError("truncated PGM raster")
+            view = view[n:]
+    else:
+        raster = f.read()
+        _check_payload(len(raster), height * width, "PGM raster")
+        pixels = np.frombuffer(raster, np.uint8).reshape(height, width).copy()
     if maxval < 255 and pixels.max() > maxval:
         raise ValueError(f"PGM pixel value {pixels.max()} exceeds maxval {maxval}")
     return GrayImage(pixels)
 
 
 def read_pgm(path) -> GrayImage:
-    return parse_pgm(Path(path).read_bytes())
+    """Read a binary (P5) PGM from path, a file or a pipe, with parse_pgm's checks and messages."""
+    with open(path, "rb") as f:
+        return parse_pgm(f)
 
 
 def write_pgm(img: GrayImage, path) -> None:
@@ -809,12 +836,17 @@ def bench_postprocessing(
     Reports the medians, the difference of the first two, and the max
     absolute discrepancy between the cascade's and the dense half's
     coefficient planes.  repeats >= 1; image_size a positive multiple
-    of m.
+    of m; repeats x image_size^2 x 3 routes at most BENCH_MAX_WORK,
+    checked before the image is built.
     """
     _check_size(m)
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     _check_divisible((image_size, image_size), m)
+    passes = 3 * repeats * image_size**2
+    if passes > BENCH_MAX_WORK:
+        raise ValueError(f"{repeats} repeats x {image_size}^2 pixels x 3 routes = {passes} pixel "
+                         f"passes exceeds the bench's limit of {BENCH_MAX_WORK}")
     rng = np.random.default_rng(seed)
     img = GrayImage(rng.integers(0, 256, size=(image_size, image_size), dtype=np.uint8))
     shipped = rfst(m)

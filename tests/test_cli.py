@@ -580,6 +580,44 @@ def test_image_inverse_refuses_a_pipe(tmp_path, capsys):
     assert not out.exists()
 
 
+def _from_pipe(capsys, data, *argv):
+    # run rfst with data, which fits in a pipe's buffer, fed through a pipe as --in
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        return run(capsys, *argv, "--in", f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.parametrize("action", ("forward", "mosaic"))
+def test_image_commands_read_a_pgm_from_a_pipe(tmp_path, capsys, action):
+    img = _random_image(np.random.default_rng(47), 48, 40)
+    src = tmp_path / "in.pgm"
+    write_pgm(img, src)
+    from_file, from_pipe = tmp_path / "file.out", tmp_path / "pipe.out"
+    argv = ("image", action, "--transform", "rfst", "--block", "8")
+    assert run(capsys, *argv, "--in", str(src), "--out", str(from_file)) == (0, "", "")
+    assert _from_pipe(capsys, src.read_bytes(), *argv, "--out", str(from_pipe)) == (0, "", "")
+    assert from_pipe.read_bytes() == from_file.read_bytes()
+
+
+def test_huge_pgm_header_in_a_pipe_fails_before_allocating(tmp_path, capsys):
+    # a header that claims a 65535 x 65535 raster (4 GiB), with 8 bytes of it in the pipe
+    out = tmp_path / "c.rfc"
+    argv = ("image", "forward", "--transform", "rfst", "--block", "8", "--out", str(out))
+    tracemalloc.start()
+    try:
+        code, stdout, err = _from_pipe(capsys, b"P5\n65535 65535\n255\n" + bytes(8), *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, stdout, err) == (1, "", "rfst: error: truncated PGM raster\n")
+    assert peak < 2**20, peak
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("action", ("forward", "inverse", "mosaic"))
 def test_image_commands_refuse_a_pipe_as_out(tmp_path, capsys, monkeypatch, action):
     # positioned writes cannot go to a pipe: refused before the transform runs
@@ -769,6 +807,30 @@ def test_sizes_above_the_cli_cap_exit_one_at_once(capsys, monkeypatch, argv):
     assert err.endswith(f"error: argument {argv[-1]}: 8192 exceeds the largest size 4096\n")
     dest = argv[-1][2:].replace("-", "_")
     assert getattr(cli._build_parser().parse_args([*argv, "4096"]), dest) == 4096
+
+
+def test_bench_bounds_its_total_work(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        pytest.fail("the bench built its image or transform above the work limit")
+
+    # every flag is within the size cap, but together they ask for hours
+    with monkeypatch.context() as patched:
+        patched.setattr(regularity, "rfst", no_build)
+        patched.setattr(imaging, "rfst", no_build)
+        patched.setattr(imaging, "GrayImage", no_build)
+        code, out, err = run(capsys, "bench", "--size", "1024", "--image-size", "4096",
+                             "--repeats", "4096")
+    assert (code, out) == (1, "")
+    assert err == (f"rfst: error: 4096 repeats x 4096^2 pixels x 3 routes = {3 * 4096**3} pixel "
+                   f"passes exceeds the bench's limit of {imaging.BENCH_MAX_WORK}\n")
+    # criterion 9's call and test_bench_csv_shape's run are under it
+    assert 3 * 25 * 512**2 <= imaging.BENCH_MAX_WORK
+    # the limit itself is allowed, and one pixel pass more is not
+    monkeypatch.setattr(imaging, "BENCH_MAX_WORK", 3 * 3 * 64**2)
+    assert run(capsys, "bench", "--size", "8", "--image-size", "64", "--repeats", "3")[0] == 0
+    code, out, err = run(capsys, "bench", "--size", "8", "--image-size", "64", "--repeats", "4")
+    assert (code, out) == (1, "")
+    assert err.endswith(f"exceeds the bench's limit of {3 * 3 * 64**2}\n")
 
 
 @pytest.mark.parametrize("flags", (("--repeats", "0"), ("--image-size", "0"), ("--size", "0")),

@@ -70,36 +70,51 @@ def test_pgm_round_trip(tmp_path):
     _assert_owned_array(again.pixels)
 
 
-def test_pgm_accepts_comments_and_whitespace():
+def _pgm_entries(tmp_path, data):
+    # the one PGM reader, through its two entries: bytes, and a file via read_pgm
+    path = tmp_path / "entry.pgm"
+    path.write_bytes(data)
+    return {"bytes": lambda: parse_pgm(io.BytesIO(data)), "file": lambda: read_pgm(path)}
+
+
+def test_pgm_accepts_comments_and_whitespace(tmp_path):
     raster = bytes(range(6))
-    data = b"P5 # magic\n# a comment line\n 3 \n# another\n2\n255\n" + raster
-    img = parse_pgm(data)
-    assert img.width == 3 and img.height == 2
-    assert img.pixels.tobytes() == raster
+    # the 64 KiB comment is longer than any first read of the header
+    long_comment = b"#" + b"x" * 2**16 + b"\n"
+    for data in (b"P5 # magic\n# a comment line\n 3 \n# another\n2\n255\n" + raster,
+                 b"P5\n" + long_comment + b"3 2 " + long_comment + b"255\n" + raster):
+        for entry, read in _pgm_entries(tmp_path, data).items():
+            img = read()
+            assert img.width == 3 and img.height == 2, entry
+            assert img.pixels.tobytes() == raster, entry
+            _assert_owned_array(img.pixels)
 
 
-def test_pgm_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        parse_pgm(b"P2\n2 2\n255\n0000")  # ASCII variant unsupported
-    with pytest.raises(ValueError):
-        parse_pgm(b"P5\n2 2\n65535\n" + bytes(8))  # 16-bit unsupported
-    with pytest.raises(ValueError):
-        parse_pgm(b"P5\n2 2\n255\n" + bytes(3))  # truncated raster
-    with pytest.raises(ValueError):
-        parse_pgm(b"P5\n2")  # truncated header
-    with pytest.raises(ValueError):
-        parse_pgm(b"P5\n0 2\n255\n")
-    with pytest.raises(ValueError, match="trailing"):
-        parse_pgm(b"P5\n2 2\n255\n" + bytes(5))
-    with pytest.raises(ValueError, match="exceeds maxval"):
-        parse_pgm(b"P5\n2 2\n15\n" + bytes([0, 15, 16, 3]))
-    # a header number is ASCII decimal digits only, and a bad one names its field
-    for header in (b"1_0 1\n255", b"1e3 1\n255", b"0x10 1\n255", b"25.5 1\n255"):
-        with pytest.raises(ValueError, match=r"^PGM width '.*' is not a decimal number$"):
-            parse_pgm(b"P5\n" + header + b"\n" + bytes(10))
-    with pytest.raises(ValueError, match=r"^PGM height '\+4' is not a decimal number$"):
-        parse_pgm(b"P5\n2 +4\n255\n" + bytes(8))
-    assert parse_pgm(b"P5\n2 2\n15\n" + bytes([0, 15, 15, 3])).pixels.max() == 15
+def test_pgm_rejects_bad_inputs(tmp_path):
+    # both entries run one reader, so a bad input gives one message
+    for data, message in (
+        (b"P2\n2 2\n255\n0000", r"not a binary PGM \(missing P5 magic\)"),  # ASCII unsupported
+        (b"P5\n2 2\n65535\n" + bytes(8), r"unsupported PGM maxval 65535 \(8-bit only\)"),
+        (b"P5\n2 2\n255\n" + bytes(3), "truncated PGM raster"),
+        (b"P5\n2 2\n255", "truncated PGM raster"),  # no byte after the maxval
+        (b"P5\n2", "truncated PGM header"),
+        (b"", "truncated PGM header"),
+        (b"P5\n#" + b"x" * 2**16, "truncated PGM header"),  # a comment to the end of the input
+        (b"P5\n0 2\n255\n", "bad PGM dimensions"),
+        (b"P5\n2 2\n255\n" + bytes(5), "trailing bytes after PGM raster"),
+        (b"P5\n2 2\n15\n" + bytes([0, 15, 16, 3]), "PGM pixel value 16 exceeds maxval 15"),
+        # a header number is ASCII decimal digits only, and a bad one names its field
+        (b"P5\n1_0 1\n255\n" + bytes(10), "PGM width '1_0' is not a decimal number"),
+        (b"P5\n1e3 1\n255\n" + bytes(10), "PGM width '1e3' is not a decimal number"),
+        (b"P5\n0x10 1\n255\n" + bytes(10), "PGM width '0x10' is not a decimal number"),
+        (b"P5\n25.5 1\n255\n" + bytes(10), r"PGM width '25\.5' is not a decimal number"),
+        (b"P5\n2 +4\n255\n" + bytes(8), r"PGM height '\+4' is not a decimal number"),
+    ):
+        for read in _pgm_entries(tmp_path, data).values():
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                read()
+    for read in _pgm_entries(tmp_path, b"P5\n2 2\n15\n" + bytes([0, 15, 15, 3])).values():
+        assert read().pixels.max() == 15
 
 
 def test_pgm_file_round_trip(tmp_path):
@@ -196,10 +211,13 @@ def test_codecs_copy_their_payload_once(tmp_path):
     raster = b"P5\n512 512\n255\n" + img.pixels.tobytes()
     coeff_path = tmp_path / "t.rfc"
     coeff_path.write_bytes(blob)
+    pgm_path = tmp_path / "t.pgm"
+    pgm_path.write_bytes(raster)
     for codec, args, payload, bound in (
         (read_coeff_file, (coeff_path,), plane.values.nbytes, 1.05),
         (write_coeff_file, (plane, tmp_path / "w.rfc"), plane.values.nbytes, 0.05),
-        (parse_pgm, (raster,), img.pixels.nbytes, 1.25),
+        (parse_pgm, (io.BytesIO(raster),), img.pixels.nbytes, 1.25),
+        (read_pgm, (pgm_path,), img.pixels.nbytes, 1.05),
         (write_pgm, (img, tmp_path / "w.pgm"), img.pixels.nbytes, 0.05),
     ):
         tracemalloc.start()
@@ -209,6 +227,7 @@ def test_codecs_copy_their_payload_once(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak <= bound * payload, (codec.__name__, peak / payload)
+    _assert_owned_array(read_pgm(pgm_path).pixels)
     assert (tmp_path / "w.rfc").read_bytes() == blob
     assert (tmp_path / "w.pgm").read_bytes() == raster
 

@@ -72,7 +72,7 @@ rfc_headers = st.lists(st.integers(0, 16), min_size=4, max_size=4).map(
 @FUZZ
 @given(_header_prefixed(b"P5", pgm_headers))
 def test_parse_pgm_raises_only_value_error(data):
-    _only_value_error(parse_pgm, data)
+    _only_value_error(lambda data: parse_pgm(io.BytesIO(data)), data)
 
 
 @FUZZ
@@ -84,7 +84,8 @@ def test_parse_coeff_file_raises_only_value_error(data):
 @ROUND_TRIP
 @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=24)))
 def test_pgm_round_trip(pixels):
-    assert np.array_equal(parse_pgm(_written(write_pgm, GrayImage(pixels))).pixels, pixels)
+    written = io.BytesIO(_written(write_pgm, GrayImage(pixels)))
+    assert np.array_equal(parse_pgm(written).pixels, pixels)
 
 
 @ROUND_TRIP
