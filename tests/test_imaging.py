@@ -117,6 +117,19 @@ def test_pgm_rejects_bad_inputs(tmp_path):
         assert read().pixels.max() == 15
 
 
+def test_huge_pgm_header_fails_before_allocating(tmp_path):
+    # a header that claims a 65535 x 65535 raster (4 GiB), with 8 bytes of it
+    for read in _pgm_entries(tmp_path, b"P5\n65535 65535\n255\n" + bytes(8)).values():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^truncated PGM raster$"):
+                read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+
 def test_pgm_file_round_trip(tmp_path):
     rng = np.random.default_rng(32)
     img = _random_image(rng, 8, 16)
