@@ -13,7 +13,10 @@ whole 2-D transform one cache-sized band of block rows at a time into
 one output plane, and only reads its input.  The transform runs its
 own core (its _along method) and names the postprocessing still to run
 after it (its post), and its in_place flag sets the band layout,
-through _band_rows.
+through _band_rows.  forward_2d and inverse_2d return a new array, but
+its memory may be the plane that either returned last, once nothing
+refers to that plane (_new_plane): one released plane is kept for the
+next call of its shape, 32 MiB at 2048^2 and 128 MiB at 4096^2.
 
 rfst(M) takes one of two routes, by its size.  Below
 regularity.FFT_MIN_SIZE its core is one dense product with the folded
@@ -76,7 +79,8 @@ reader, which checks the header and the payload's size before it
 allocates anything plane-sized.  parse_pgm reads a PGM from a binary
 file object: read_pgm's open file, or bytes as io.BytesIO.  A seekable
 input's raster is read straight into the pixel array; a pipe's is read
-whole and copied once, so a PGM may come from a pipe.  _Payload reads
+in chunks, never past one byte more than the header claims, and copied
+once, so a PGM may come from a pipe.  _Payload reads
 an RFC file, whole in read_coeff_file and band by band in `rfst image
 inverse`; it also checks the plane's shape before it allocates, and
 its size check needs a seekable input.  A plane read or built passes
@@ -124,6 +128,10 @@ BAND_ROWS = 64
 # 2-core x86-64 host with one BLAS thread, so this bounds a call to about a minute
 # at the largest M, and criterion 9's call (M=8, 512^2, 25 repeats) asks for 2% of it.
 BENCH_MAX_WORK = 2**30
+
+# Bytes per read of a PGM raster from a pipe: a buffered read(n) allocates n bytes before
+# it reads, so a header that claims a huge raster costs this much, not the raster's size
+PIPE_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -257,7 +265,8 @@ def parse_pgm(f) -> GrayImage:
     so a header that claims a huge image fails as truncated: a seekable
     f (a regular file, or bytes) is sized by seeking to its end, and its
     raster is read straight into the pixel array; a pipe is sized by the
-    bytes it holds, which are read whole and copied once into the array.
+    bytes it holds, which are read PIPE_CHUNK at a time, up to one byte
+    past the raster the header claims, and copied once into the array.
     """
 
     def next_token() -> bytes:
@@ -296,8 +305,13 @@ def parse_pgm(f) -> GrayImage:
             if not n:
                 raise ValueError("truncated PGM raster")
             view = view[n:]
-    else:
-        raster = f.read()
+    else:  # a pipe is read no further than one byte past the raster the header claims
+        raster = bytearray()
+        while len(raster) <= height * width:
+            chunk = f.read(min(height * width + 1 - len(raster), PIPE_CHUNK))
+            if not chunk:
+                break
+            raster += chunk
         _check_payload(len(raster), height * width, "PGM raster")
         pixels = np.frombuffer(raster, np.uint8).reshape(height, width).copy()
     if maxval < 255 and pixels.max() > maxval:
@@ -517,9 +531,13 @@ def _in_threads(runs) -> None:
     finally:
         for thread in threads:
             thread.join()
-    for error in errors:
-        if error is not None:
+    error = next((error for error in errors if error is not None), None)
+    errors.clear()
+    if error is not None:
+        try:
             raise error
+        finally:  # unbound, so that this frame and its error form no reference cycle, which
+            error = None  # would keep what the failed call held (its output plane) until gc runs
 
 
 def _on_workers(h: int, transform, inverse: bool, work) -> None:
@@ -620,6 +638,57 @@ def _check_inverse(block: int, transform) -> None:
         raise ValueError(f"transform size {m} does not match plane block size {block}")
 
 
+# The output plane released last, kept for the next forward_2d or inverse_2d call of its
+# shape (_new_plane).  One slot: with two, rfstbench's blocks_large loop peaked at 148 MiB
+# RSS against 140, as the second kept plane overlapped its checks' temporaries
+_released = collections.deque(maxlen=1)
+
+
+class _Plane:
+    """The owner of an output plane of forward_2d or inverse_2d, which returns np.asarray(owner).
+
+    That array, and every view of it, holds the owner, so the owner is
+    freed only once no object refers to the plane's memory any more.
+    It then releases the plane to _released, as free() would, for the
+    next call of its shape to reuse.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: np.ndarray):
+        self._values = values
+
+    @property
+    def __array_interface__(self):
+        return self._values.__array_interface__
+
+    def __del__(self, released=_released):  # bound here, so it still runs at interpreter shutdown
+        released.append(self._values)
+
+
+def _new_plane(shape) -> np.ndarray:
+    """An uninitialised float64 plane of shape: the one released last if its shape matches, else a new one.
+
+    A 2048^2 plane is just over glibc's largest mmap threshold, so a
+    plane freed and allocated again is unmapped and faulted in on every
+    call.  At 2048^2 and M=8, with two workers and one BLAS thread on a
+    shared 2-core x86-64 host, a forward_2d call took 8.5-12.5 ms and
+    20-531 minor faults into a new plane (fewer where its mapping
+    happened to be aligned for huge pages), and 5.8-5.9 ms and 3 faults
+    into a reused one (medians of 40 calls).  A deque's pop is atomic,
+    so two threads are never handed the same plane.  A kept plane of
+    another shape is freed before the new one is allocated.
+    """
+    try:
+        values = _released.pop()
+    except IndexError:
+        values = None
+    if values is None or values.shape != shape:
+        values = None  # freed first, so that no two planes are held at once
+        values = np.empty(shape)
+    return np.asarray(_Plane(values))
+
+
 def forward_2d(img: GrayImage, transform) -> CoeffPlane:
     """Blockwise T B T' of an image: row pass, then column pass.
 
@@ -630,17 +699,25 @@ def forward_2d(img: GrayImage, transform) -> CoeffPlane:
     workers took 25-70% less than one, here and in inverse_2d, with
     OpenBLAS at one thread per CPU, and 35-60% less with OpenBLAS at one
     thread (OPENBLAS_NUM_THREADS=1).
+
+    The output plane is the one released last, by forward_2d or
+    inverse_2d, when its shape matches and nothing refers to it any
+    more (_new_plane); else it is a new one.  One released plane is
+    kept for the next call: 32 MiB at 2048^2, 128 MiB at 4096^2.
     """
     _check_divisible(img.pixels.shape, _block_size(transform))
-    values = np.empty(img.pixels.shape)
+    values = _new_plane(img.pixels.shape)
     _fill_in_threads(img.pixels, values, transform, False)
     return CoeffPlane(values, block=transform.size, kind=transform.kind)
 
 
 def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
-    """Exact adjoint of forward_2d, on threads as forward_2d; returns the real-valued plane, no rounding."""
+    """Exact adjoint of forward_2d, on threads as forward_2d; returns the real-valued plane, no rounding.
+
+    Its output plane is reused or kept as forward_2d's is.
+    """
     _check_inverse(coeffs.block, transform)
-    plane = np.empty(coeffs.values.shape)
+    plane = _new_plane(coeffs.values.shape)
     return _fill_in_threads(coeffs.values, plane, transform, True)
 
 

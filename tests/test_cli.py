@@ -145,6 +145,27 @@ def test_equiv_failure_exit_code(capsys):
     assert "signed row permutation" in err
 
 
+def test_successive_calls_share_one_parser(capsys, monkeypatch):
+    # main() builds its parser once; the calls through it, usage errors between them
+    # included, give what a fresh parser per call gives
+    argvs = (("opcount", "--size", "8"),
+             ("check", "--type", "nope", "--size", "4"),
+             ("check", "--type", "dct", "--size", "4"),
+             ("gen", "--type", "dst"),
+             ("gen", "--type", "dst", "--size", "4"),
+             ("equiv", "--size", "8", "--tol", "nan"),
+             ("coding-gain", "--type", "rfst", "--size", "8"),
+             ("opcount", "--size", "8", "--bogus"),
+             ("opcount", "--size", "8"))
+    shared = [run(capsys, *argv) for argv in argvs]
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in argvs]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0, 1, 0, 1, 0, 1, 0]
+    assert shared[0] == shared[-1]
+
+
 def test_equiv_rejects_a_nan_tolerance(capsys):
     # NaN compares false with every residual, so it would accept any matching
     assert cli._build_parser().parse_args(["equiv", "--size", "8"]).tol == EQUIV_DEFAULT_TOL
@@ -543,8 +564,10 @@ def test_failed_image_forward_leaves_no_file(tmp_path, capsys, monkeypatch, wher
             blockwise = imaging._blockwise_2d
 
             def failing(*args, **kwargs):
-                bands = blockwise(*args, **kwargs)
-                yield next(bands)
+                # a worker may find no band left once the other has failed: it fails at once
+                for band in blockwise(*args, **kwargs):
+                    yield band
+                    break
                 raise OSError("band loop failed")
 
             monkeypatch.setattr(imaging, "_blockwise_2d", failing)

@@ -1,13 +1,17 @@
 """Image I/O, separable block transforms, mosaics, and the timing harness."""
 
+import concurrent.futures
 import contextlib
 import functools
+import gc
 import io
+import os
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +132,31 @@ def test_huge_pgm_header_fails_before_allocating(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+
+
+def test_a_pipe_is_read_no_further_than_its_header_claims():
+    # a header that claims 4 x 4 pixels, then 8 MiB: more than a pipe's buffer holds, so a
+    # thread writes it, and stops once the reader has closed its end
+    data = b"P5\n4 4\n255\n" + bytes(2**23)
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(write_end, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    tracemalloc.start()
+    try:
+        writer.start()
+        with open(read_end, "rb") as f, pytest.raises(
+                ValueError, match="^trailing bytes after PGM raster$"):
+            parse_pgm(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        writer.join(10)
+    assert not writer.is_alive()
+    assert peak < 2**20, peak
 
 
 def test_pgm_file_round_trip(tmp_path):
@@ -456,6 +485,158 @@ def test_outputs_do_not_depend_on_band_height(monkeypatch, maker, m):
         coeffs = forward_2d(img, t)
         assert np.array_equal(coeffs.values, shipped.values)
         assert np.array_equal(inverse_2d(coeffs, t), plane)
+
+
+# every way to keep a returned plane's memory without the array itself
+_VIEWS = {
+    "array": lambda a: a,
+    "slice": lambda a: a[8:24, 16:],
+    "transpose": lambda a: a.T,
+    "reshape": lambda a: a.reshape(-1, 8),
+    "memoryview": memoryview,
+    "frombuffer": np.frombuffer,
+}
+
+
+@pytest.mark.parametrize("view", _VIEWS)
+@pytest.mark.parametrize("direction", ("forward", "inverse"))
+def test_later_calls_never_write_into_a_held_output(direction, view):
+    # only the view is held; every later output of the plane's shape is released
+    # as soon as it is made, so each call after the first may reuse a plane
+    rng = np.random.default_rng(70)
+    img, other = _random_image(rng, 32, 48), _random_image(rng, 32, 48)
+    t = rfst(8)
+    coeffs = forward_2d(img, t)
+    out = coeffs.values if direction == "forward" else inverse_2d(coeffs, t)
+    held = _VIEWS[view](out)
+    expected = np.array(held, copy=True)
+    del coeffs, out
+    for _ in range(3):
+        again = forward_2d(other, t)
+        back = inverse_2d(again, t)
+        assert not np.shares_memory(again.values, held) and not np.shares_memory(back, held)
+        del again, back
+    assert np.array_equal(np.asarray(held), expected)
+
+
+def test_a_released_plane_is_reused_by_the_next_call_of_its_shape():
+    gc.collect()  # no plane an earlier test left in a reference cycle is released in this one
+    rng = np.random.default_rng(71)
+    img = _random_image(rng, 32, 48)
+    t = rfst(8)
+    coeffs = forward_2d(img, t)
+    expected, address = coeffs.values.copy(), coeffs.values.ctypes.data
+    del coeffs
+    coeffs = forward_2d(img, t)
+    assert coeffs.values.ctypes.data == address
+    assert np.array_equal(coeffs.values, expected)
+    plane = inverse_2d(coeffs, t)  # coeffs is held, so this plane is new
+    expected, address = plane.copy(), plane.ctypes.data
+    assert address != coeffs.values.ctypes.data
+    del plane
+    plane = inverse_2d(coeffs, t)
+    assert plane.ctypes.data == address
+    assert np.array_equal(plane, expected)
+
+
+def test_a_call_of_another_shape_frees_the_kept_plane():
+    # before it allocates its own, so it holds one plane at a time, as the pipeline's
+    # memory bound (test_2d_pipeline_holds_at_most_two_planes) allows at M = 8
+    gc.collect()
+    rng = np.random.default_rng(72)
+    wide, tall = _random_image(rng, 512, 768), _random_image(rng, 768, 512)  # as many pixels
+    t = rfst(8)
+    expected = forward_2d(tall, t).values.copy()
+    tracemalloc.start()
+    try:
+        forward_2d(wide, t)
+        (kept,) = imaging._released
+        assert kept.shape == (512, 768)
+        kept = weakref.ref(kept)
+        tracemalloc.reset_peak()
+        coeffs = forward_2d(tall, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept() is None and not imaging._released
+    assert peak <= 1.3 * coeffs.values.nbytes, peak / coeffs.values.nbytes
+    assert np.array_equal(coeffs.values, expected)
+
+
+def test_threads_calling_at_once_get_distinct_planes():
+    # each round, more threads than CPUs call forward_2d together, while the interpreter
+    # switches threads every microsecond, with one plane released by the round before;
+    # each holds its output until all have checked theirs
+    rng = np.random.default_rng(73)
+    t, threads, rounds = rfst(8), 4, 25
+    images = [_random_image(rng, 64, 96) for _ in range(threads)]
+    expected = [forward_2d(img, t).values.copy() for img in images]
+    barrier, addresses = threading.Barrier(threads, timeout=30), [[] for _ in range(threads)]
+
+    def call(i):
+        for _ in range(rounds):
+            barrier.wait()
+            coeffs = forward_2d(images[i], t)
+            assert np.array_equal(coeffs.values, expected[i])
+            addresses[i].append(coeffs.values.ctypes.data)
+            barrier.wait()
+            del coeffs
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+            for future in [pool.submit(call, i) for i in range(threads)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(len(set(held)) == threads for held in zip(*addresses))
+    assert len(set().union(*addresses)) < threads * rounds  # planes were reused
+
+
+@pytest.mark.parametrize("direction", ("forward", "inverse"))
+@pytest.mark.parametrize("where", ("caller", "worker"))
+def test_a_call_that_fails_mid_fill_leaves_later_outputs_intact(monkeypatch, where, direction):
+    # the failed call's plane holds part of another image's bands; it is released as
+    # soon as the error is dropped, with the cyclic collector off, and the next call of
+    # its shape fills all of it
+    gc.collect()  # no plane an earlier test left in a reference cycle is released in this one
+    rng = np.random.default_rng(74)
+    img, other = _random_image(rng, 4 * BAND_ROWS, 48), _random_image(rng, 4 * BAND_ROWS, 48)
+    t = rfst(8)
+    coeffs, bad = forward_2d(img, t), forward_2d(other, t)
+    expected = coeffs.values.copy() if direction == "forward" else inverse_2d(coeffs, t).copy()
+    call, arg, bad_arg = ((forward_2d, img, other) if direction == "forward"
+                          else (inverse_2d, coeffs, bad))
+    along, caller, calls, planes = FastRegularTransform._along, threading.current_thread(), [], []
+    new_plane = imaging._new_plane
+
+    def fail_late(self, x, y, inverse=False):
+        if (threading.current_thread() is caller) == (where == "caller"):
+            calls.append(1)
+            if len(calls) == 3:  # the second band's row pass
+                raise RuntimeError("failed mid-fill")
+        else:  # slowed, so that it leaves the failing thread bands of its own
+            time.sleep(0.002)
+        along(self, x, y, inverse)
+
+    _on_cpus(monkeypatch, 2)
+    gc.disable()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(FastRegularTransform, "_along", fail_late)
+            patch.setattr(imaging, "_new_plane",
+                          lambda shape: planes.append(new_plane(shape)) or planes[-1])
+            with pytest.raises(RuntimeError, match="failed mid-fill"):
+                call(bad_arg, t)
+        address = planes.pop().ctypes.data
+        assert [a.ctypes.data for a in imaging._released] == [address]
+    finally:
+        gc.enable()
+    out = call(arg, t)
+    out = out.values if direction == "forward" else out
+    assert out.ctypes.data == address
+    assert np.array_equal(out, expected)
 
 
 def _dense_half(m):
