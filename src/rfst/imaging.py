@@ -15,8 +15,8 @@ own core (its _along method) and names the postprocessing still to run
 after it (its post), and its in_place flag sets the band layout,
 through _band_rows.  forward_2d and inverse_2d return a new array, but
 its memory may be the plane that either returned last, once nothing
-refers to that plane (_new_plane): one released plane is kept for the
-next call of its shape, 32 MiB at 2048^2 and 128 MiB at 4096^2.
+refers to that plane: one released plane is kept for the next call of
+its shape (_new_plane).
 
 rfst(M) takes one of two routes, by its size.  Below
 regularity.FFT_MIN_SIZE its core is one dense product with the folded
@@ -702,8 +702,10 @@ def forward_2d(img: GrayImage, transform) -> CoeffPlane:
 
     The output plane is the one released last, by forward_2d or
     inverse_2d, when its shape matches and nothing refers to it any
-    more (_new_plane); else it is a new one.  One released plane is
-    kept for the next call: 32 MiB at 2048^2, 128 MiB at 4096^2.
+    more; else it is a new one.  One released plane is kept for the
+    next call: 32 MiB at 2048^2, 128 MiB at 4096^2 (_new_plane).  The
+    returned array does not own its data, so it cannot be resized in
+    place.
     """
     _check_divisible(img.pixels.shape, _block_size(transform))
     values = _new_plane(img.pixels.shape)
@@ -714,7 +716,9 @@ def forward_2d(img: GrayImage, transform) -> CoeffPlane:
 def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
     """Exact adjoint of forward_2d, on threads as forward_2d; returns the real-valued plane, no rounding.
 
-    Its output plane is reused or kept as forward_2d's is.
+    Its output plane is reused or kept as forward_2d's is, and the
+    returned array likewise does not own its data, so it cannot be
+    resized in place.
     """
     _check_inverse(coeffs.block, transform)
     plane = _new_plane(coeffs.values.shape)

@@ -464,6 +464,9 @@ def test_2d_pipeline_holds_at_most_two_planes(monkeypatch, m, planes, rows, cpus
     plane_bytes = coeffs.values.nbytes
     _on_cpus(monkeypatch, cpus)
     for call, arg in ((forward_2d, img), (inverse_2d, coeffs)):
+        # no released plane to reuse: the output plane is allocated under the trace
+        gc.collect()
+        imaging._released.clear()
         tracemalloc.start()
         try:
             call(arg, t)
@@ -471,6 +474,27 @@ def test_2d_pipeline_holds_at_most_two_planes(monkeypatch, m, planes, rows, cpus
         finally:
             tracemalloc.stop()
         assert peak <= planes * plane_bytes, (call.__name__, peak / plane_bytes)
+
+
+@pytest.mark.parametrize("m,scratch,rows", ((8, 0.3, 512), (128, 0.3, 1024), (FFT_MIN_SIZE, 0.1, 512)))
+def test_a_call_into_a_released_plane_allocates_only_its_scratch(monkeypatch, m, scratch, rows):
+    # the scratch allowances of test_2d_pipeline_holds_at_most_two_planes, less its
+    # output plane, which here is the one the previous call of the shape released
+    img = _random_image(np.random.default_rng(48), rows, 768)
+    t = rfst(m)
+    coeffs = forward_2d(img, t)
+    plane_bytes = coeffs.values.nbytes
+    _on_cpus(monkeypatch, 2)
+    for call, arg in ((forward_2d, img), (inverse_2d, coeffs)):
+        gc.collect()
+        call(arg, t)  # released at once, for the traced call to reuse
+        tracemalloc.start()
+        try:
+            call(arg, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= scratch * plane_bytes, (call.__name__, peak / plane_bytes)
 
 
 @pytest.mark.parametrize("maker,m", ((rfst, 8), (dct2, 8), (rfst, FFT_MIN_SIZE)))
