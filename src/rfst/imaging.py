@@ -38,20 +38,12 @@ a band pass through that subband-major layout and get copied between
 it and block layout.  BAND_ROWS was measured once and is fixed.
 
 forward_2d, inverse_2d and the image commands share a plane's bands
-between worker threads, one per CPU the process may run on, with one
-planner (_on_workers): the rows are split into contiguous runs of whole
-bands, one per worker, the calling thread among them, and each worker
-runs a band loop of its own down its run.  A worker whose run is done
-takes bands from the bottom of the longest run left, so a worker that
-is held up (descheduled, or waiting on the file) holds up the band it
-is on, not the rest of its run.  Once a worker fails, none takes
-another band.  Bands share no
-memory, and numpy's matmul, scipy.fft's DST and positioned file I/O
-release the GIL.  On the dense core a worker's band is BAND_ROWS //
-workers rows, or M if larger, and there are never more workers than
-max(BAND_ROWS, M) // M, so the workers together hold no more scratch
-than one serial loop; the outputs are the same for every worker count.
-The bench runs one worker.
+between worker threads, one per CPU the process may run on, the calling
+thread among them, through one planner, _run_bands, whose docstring
+describes how it splits the rows and hands out the bands.  Bands share
+no memory, and numpy's matmul, scipy.fft's DST and positioned file I/O
+release the GIL; the outputs are the same for every worker count.  The
+bench runs one worker.
 
 The bench adds a third route, _Unfolded, the paper's: the sine core
 rfst ships at M, then the postprocessing as a pass of its own at every
@@ -59,12 +51,13 @@ M.  It times the cascade and rdst.DenseHalf, the dense half-size
 matrix, on that route, and rfst(M) as shipped.
 
 The loop yields each band as it is finished, so the CLI's image
-commands stream (_stream), and none holds a coefficient plane: in
+commands hand each band to _run_bands' put, and none holds a
+coefficient plane: in
 `rfst image forward` each worker writes every band it takes to the
 RFC file at the band's own offset (os.pwrite) from one band-sized
 buffer, and in `rfst image inverse` each worker reads its bands at
-their offsets in the file (_Payload, os.preadv, after one size check
-of the whole payload) into a buffer of its own, checks each for NaN
+their offsets in the file (the one _Payload, os.preadv, after one size
+check of the whole payload) into a buffer of its own, checks each for NaN
 and infinity, inverts it, and rounds and writes it at its offset in
 the PGM while it is in cache.  A bad value late in the file thus fails
 after part of the PGM is written, and that partial file is removed.
@@ -91,7 +84,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import copy
 import functools
 import os
 import stat
@@ -352,11 +344,12 @@ class _Payload:
     The header is read and every check that needs no coefficient runs
     when it is built, the payload's size and the plane's shape and
     block (_check_plane) among them, so nothing is allocated for a bad
-    header.  A band loop then takes it, or reader(), a copy with a
-    buffer of its own, for the plane: slicing it reads that band from
-    its offset in the file (os.preadv) into one reused buffer and checks
-    that its values are finite, so no coefficient plane is held, and
-    band loops in different threads share nothing but the file.
+    header.  The band loops of every worker then take it for the
+    plane: slicing it reads that band from its offset in the file
+    (os.preadv) into a buffer that the slicing thread reuses, one per
+    thread (a threading.local, as in rdst.DenseHalf), and checks that
+    its values are finite, so no coefficient plane is held, and band
+    loops in different threads share nothing but the file.
     read_coeff_file slices all of its rows at once.
     """
 
@@ -372,25 +365,20 @@ class _Payload:
         if not f.seekable():
             raise ValueError("cannot read the coefficient payload from a pipe or another "
                              "input that is not seekable")
-        self._fd, self._offset, self._buffer = f.fileno(), f.tell(), None
+        self._fd, self._offset, self._local = f.fileno(), f.tell(), threading.local()
         _check_payload(f.seek(0, os.SEEK_END) - self._offset, 8 * height * width,
                        "coefficient payload")
         self.shape, self.block = (height, width), block
         self.kind = KINDS[kind_id - 1] if kind_id else None
         _check_plane(self.shape, self.block, self.kind)
 
-    def reader(self) -> _Payload:
-        """The plane again, with a buffer of its own: one per worker."""
-        reader = copy.copy(self)
-        reader._buffer = None
-        return reader
-
     def __getitem__(self, rows: slice) -> np.ndarray:
         r, w = rows.stop - rows.start, self.shape[1]
-        if self._buffer is None or len(self._buffer) < r:  # a worker may take the short last band first
-            self._buffer = np.empty((r, w), "<f8")
+        buffer = getattr(self._local, "buffer", None)  # this thread's
+        if buffer is None or len(buffer) < r:  # a worker may take the short last band first
+            buffer = self._local.buffer = np.empty((r, w), "<f8")
         # all of a buffer is handed out as itself, so read_coeff_file's plane owns its data
-        values = self._buffer if len(self._buffer) == r else self._buffer[:r]
+        values = buffer if len(buffer) == r else buffer[:r]
         _read_at(self._fd, self._offset + 8 * rows.start * w, values, "coefficient payload")
         return _check_finite(values)
 
@@ -418,7 +406,7 @@ def _band_rows(transform, workers: int = 1) -> int:
 
     One block row when the core runs in place.  Otherwise
     max(BAND_ROWS // workers, M), rounded down to a multiple of M, so
-    that while workers <= max(BAND_ROWS, M) // M, as _on_workers keeps
+    that while workers <= max(BAND_ROWS, M) // M, as _run_bands keeps
     it, the workers' scratch buffers together are no larger than
     those of one worker alone.
     """
@@ -426,7 +414,7 @@ def _band_rows(transform, workers: int = 1) -> int:
     return m if transform.in_place else max(BAND_ROWS // workers, m) // m * m
 
 
-def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, rows: int = 0, tops=None):
+def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool, rows: int, tops):
     """Yield (top, band) for each band of block rows of the block transform of src, once it is finished.
 
     The transform is the core, then postprocessing, along rows, then
@@ -443,11 +431,10 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, rows: 
     _Payload.  out is a C-contiguous float64 plane of its shape, which
     the bands fill, or None: then a band is built in a band-sized
     buffer that the next band reuses, so a consumer takes each band
-    before asking for the next.  rows is the band height,
-    _band_rows(transform) if 0, and top a band's first row; tops gives
-    the tops of the bands to run, in any order, every band from the
-    top down if None.  The inverse runs the adjoint passes in reverse
-    order.
+    before asking for the next.  rows is the band height, a multiple of
+    M (_band_rows), and top a band's first row; tops gives the tops of
+    the bands to run, in any order, each a multiple of rows.  The
+    inverse runs the adjoint passes in reverse order.
     """
     m = transform.size
     h, w = src.shape
@@ -457,14 +444,13 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, rows: 
     else:
         post = lambda v: None
     core = functools.partial(transform._along, inverse=inverse)
-    rows = rows or _band_rows(transform)
     if transform.in_place:  # bands of one block row, transformed in place on out or on one buffer
         scratch = None
         buffer = np.empty((m, w)) if out is None else None
     else:  # bands of several block rows through two band-sized scratch buffers
         scratch = np.empty((2, min(rows, h) * w))
 
-    for top in range(0, h, rows) if tops is None else tops:
+    for top in tops:
         r = min(rows, h - top)
         n = r * w // m  # length-M segments per pass in this band
         src_band = src[top:top + r]
@@ -500,67 +486,36 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool = False, rows: 
         yield top, band
 
 
-def _fill(bands, out: np.ndarray) -> np.ndarray:
-    """Run a band loop into out, a whole plane, to its end; returns out."""
-    for _ in bands:
-        pass
-    return out
+def _run_bands(src, transform, inverse: bool, out=None, put=None) -> None:
+    """Run the band loop from src on worker threads, into out, a whole plane, or through put.
 
+    put(top, band), if given, takes each band, whose first row in the
+    plane is top, as soon as it is finished, in the worker's thread:
+    before put returns, as the worker's next band reuses the buffer
+    when out is None.  Every worker slices the one src.
 
-def _in_threads(runs) -> None:
-    """Call every one of runs, the first in this thread and each other in a thread of its own.
-
-    Every thread is joined before this returns or raises; the first
-    error, in the order of runs, is raised.
+    This is the one planner of forward_2d, inverse_2d and the image
+    commands.  One worker per CPU this process may run on
+    (os.sched_getaffinity; one where that does not exist), never more
+    than bands and, on the dense core, never more than
+    max(BAND_ROWS, M) // M, so that the workers' scratch buffers
+    together are no larger than those of one serial loop.  Bands are
+    rows = _band_rows(transform, workers) tall, and the plane's rows are
+    split into contiguous runs of whole bands, one per worker.  Each
+    worker runs a band loop of its own (_blockwise_2d) over tops, which
+    hands it the first row of the next band of its run, from the top
+    down, and once its run is done the last band of the longest run
+    left, until no band is left or a worker has failed.  A worker held
+    up on one band thus leaves the rest of its run to the others, while
+    each worker, unless it is held up, keeps to its own rows: handing
+    out every band in turn instead made inverse_2d's median 15% slower
+    (2048^2, M=8, two workers on a shared 2-core x86-64 host).  The
+    calling thread is worker 0 and every other worker runs in a thread
+    of its own; one worker is the serial loop and starts no thread.
+    Every thread is joined before this returns or raises, and the first
+    error, in worker order, is raised.
     """
-    errors = [None] * len(runs)
-
-    def call(i):
-        try:
-            runs[i]()
-        except BaseException as error:  # raised again in the calling thread, below
-            errors[i] = error
-
-    threads = []
-    try:
-        for i in range(1, len(runs)):
-            thread = threading.Thread(target=call, args=(i,), name=f"rfst-bands-{i}")
-            thread.start()
-            threads.append(thread)
-        runs[0]()
-    finally:
-        for thread in threads:
-            thread.join()
-    error = next((error for error in errors if error is not None), None)
-    errors.clear()
-    if error is not None:
-        try:
-            raise error
-        finally:  # unbound, so that this frame and its error form no reference cycle, which
-            error = None  # would keep what the failed call held (its output plane) until gc runs
-
-
-def _on_workers(h: int, transform, inverse: bool, work) -> None:
-    """Call work(tops, rows) once per worker, to run the bands of a plane h rows tall.
-
-    One worker per CPU this process may run on (os.sched_getaffinity;
-    one where that does not exist), never more than bands and, on the
-    dense core, never more than max(BAND_ROWS, M) // M, so that the
-    workers' scratch buffers together are no larger than those of one
-    serial loop.  Bands are rows = _band_rows(transform, workers) tall,
-    and the plane's rows are split into contiguous runs of whole bands,
-    one per worker.  Each worker runs a band loop of its own over tops,
-    which hands it the first row of the next band of its run, from the
-    top down, and once its run is done the last band of the longest
-    run left, until no band is left or a worker has failed.  A worker
-    held up on one band thus leaves the rest of its run to the others,
-    while each worker, unless it is held up, keeps to its own rows:
-    handing out every band in turn instead made inverse_2d's median 15%
-    slower (2048^2, M=8, two workers on a shared 2-core x86-64 host).
-    The workers run in threads (_in_threads); one worker is the serial
-    loop.
-    """
-    m = transform.size
+    h, m = src.shape[0], transform.size
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if not transform.in_place:
         workers = min(workers, max(BAND_ROWS, m) // m)
@@ -576,7 +531,7 @@ def _on_workers(h: int, transform, inverse: bool, work) -> None:
             transform._along(empty, empty.copy(), inverse)
     cuts = [min(h, i * bands // workers * rows) for i in range(workers + 1)]
     runs = [collections.deque(range(a, b, rows)) for a, b in zip(cuts, cuts[1:])]
-    lock, failed = threading.Lock(), threading.Event()
+    lock, failed, errors = threading.Lock(), threading.Event(), [None] * workers
 
     def tops(own):
         while True:
@@ -587,38 +542,32 @@ def _on_workers(h: int, transform, inverse: bool, work) -> None:
                 top = own.popleft() if own else longest.pop()
             yield top
 
-    def run(own):
+    def work(i):
         try:
-            work(tops(own), rows)
-        except BaseException:
+            for top, band in _blockwise_2d(src, out, transform, inverse, rows, tops(runs[i])):
+                if put is not None:
+                    put(top, band)
+        except BaseException as error:  # raised again in the calling thread, below
             failed.set()  # the other workers finish the band they hold and take no other
-            raise
+            errors[i] = error
 
-    _in_threads([functools.partial(run, own) for own in runs])
-
-
-def _fill_in_threads(src, out: np.ndarray, transform, inverse: bool) -> np.ndarray:
-    """Run the band loop from src into out, a whole plane, on worker threads; returns out."""
-    def work(tops, rows):
-        _fill(_blockwise_2d(src, out, transform, inverse, rows, tops), None)
-
-    _on_workers(src.shape[0], transform, inverse, work)
-    return out
-
-
-def _stream(h: int, transform, inverse: bool, source, put) -> None:
-    """Run the band loop with no output plane on worker threads, as _on_workers shares it.
-
-    source() gives a worker the plane, h rows tall, to read its bands
-    from, and put(top, band) takes each band, whose first row in the
-    plane is top, as soon as it is finished, in the worker's thread:
-    before put returns, as the worker's next band reuses the buffer.
-    """
-    def work(tops, rows):
-        for top, band in _blockwise_2d(source(), None, transform, inverse, rows, tops):
-            put(top, band)
-
-    _on_workers(h, transform, inverse, work)
+    threads = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=work, args=(i,), name=f"rfst-bands-{i}")
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    error = next((error for error in errors if error is not None), None)
+    errors.clear()
+    if error is not None:
+        try:
+            raise error
+        finally:  # unbound, so that this frame and its error form no reference cycle, which
+            error = None  # would keep what the failed call held (its output plane) until gc runs
 
 
 def _check_divisible(shape, m: int) -> None:
@@ -709,7 +658,7 @@ def forward_2d(img: GrayImage, transform) -> CoeffPlane:
     """
     _check_divisible(img.pixels.shape, _block_size(transform))
     values = _new_plane(img.pixels.shape)
-    _fill_in_threads(img.pixels, values, transform, False)
+    _run_bands(img.pixels, transform, False, out=values)
     return CoeffPlane(values, block=transform.size, kind=transform.kind)
 
 
@@ -722,7 +671,8 @@ def inverse_2d(coeffs: CoeffPlane, transform) -> np.ndarray:
     """
     _check_inverse(coeffs.block, transform)
     plane = _new_plane(coeffs.values.shape)
-    return _fill_in_threads(coeffs.values, plane, transform, True)
+    _run_bands(coeffs.values, transform, True, out=plane)
+    return plane
 
 
 def _forward_file(img: GrayImage, transform, path) -> None:
@@ -737,9 +687,9 @@ def _forward_file(img: GrayImage, transform, path) -> None:
     header = _coeff_header(img.pixels.shape, transform.size, transform.kind)
     with _output(path, len(header) + 8 * h * w) as fd:
         _write_at(fd, 0, header)
-        _stream(h, transform, False, lambda: img.pixels,
-                lambda top, band: _write_at(fd, len(header) + 8 * top * w,
-                                            np.ascontiguousarray(band, "<f8")))
+        _run_bands(img.pixels, transform, False,
+                   put=lambda top, band: _write_at(fd, len(header) + 8 * top * w,
+                                                   np.ascontiguousarray(band, "<f8")))
 
 
 def _inverse_file(payload: _Payload, transform, path) -> None:
@@ -760,7 +710,7 @@ def _inverse_file(payload: _Payload, transform, path) -> None:
             _write_at(fd, len(header) + top * w, band.astype(np.uint8))
 
         _write_at(fd, 0, header)
-        _stream(h, transform, True, payload.reader, put)
+        _run_bands(payload, transform, True, put=put)
 
 
 def _mosaic_file(img: GrayImage, transform, path) -> None:
@@ -768,7 +718,7 @@ def _mosaic_file(img: GrayImage, transform, path) -> None:
     h, w = img.pixels.shape
     header = _pgm_header(w, h)
     with _output(path, len(header) + h * w) as fd:  # a pipe is refused before the transform runs
-        fill = functools.partial(_stream, h, transform, False, lambda: img.pixels)
+        fill = lambda put: _run_bands(img.pixels, transform, False, put=put)
         mosaic = _mosaic(fill, img.pixels.shape, transform.size)
         _write_at(fd, 0, header, mosaic.pixels)
 
@@ -940,7 +890,10 @@ def bench_postprocessing(
     work = np.empty_like(plane0)
 
     def run(transform, out=work) -> np.ndarray:
-        return _fill(_blockwise_2d(plane0, out, transform), out)
+        rows = _band_rows(transform)
+        for _ in _blockwise_2d(plane0, out, transform, False, rows, range(0, image_size, rows)):
+            pass
+        return out
 
     def timed(transform) -> float:
         start = time.perf_counter()

@@ -123,44 +123,28 @@ class RegularityCascade:
         F-ordered (the transpose of a segment-major (n, M) block, each
         coefficient a stride-M column).  The inverse order works because
         each reflection is an involution.
-        """
-        if isinstance(v, np.ndarray) and v.ndim == 2 and v.dtype == np.float64:
-            n = v.shape[1]
-            if v.flags.c_contiguous:
-                self.apply_flat(v.reshape(-1), n, lane=n, step=1, inverse=inverse)
-                return v
-            if v.flags.f_contiguous:
-                self.apply_flat(v.T.reshape(-1), n, lane=1, step=len(v), inverse=inverse)
-                return v
-        return self.reflect(v, inverse)
 
-    def reflect(self, v, inverse: bool = False):
-        """apply's route without BLAS: reflect_pair on whole rows of v, in place; returns v."""
-        order = reversed(self._terms) if inverse else self._terms
-        for i, j, c, s, _ in order:
-            reflect_pair(v, i, j, c, s)
-        return v
-
-    def apply_flat(self, flat: np.ndarray, n: int, lane: int, step: int,
-                   inverse: bool = False) -> None:
-        """Run the cascade in place on n-element lanes of a contiguous 1-D float64 buffer.
-
-        Coefficient k is the lane of n elements that starts at
-        flat[k*lane] and advances by step: (lane, step) = (N, 1)
-        reaches the rows of a coefficient-major (M, N) array, and
-        (1, M) the columns of a segment-major (N, M) one.
-
-        On strided lanes each reflection is one BLAS drotm with
-        H = [[c, s], [s, -c]].  On contiguous lanes it is a BLAS dscal
+        On strided columns each reflection is one BLAS drotm with
+        H = [[c, s], [s, -c]].  On contiguous rows it is a BLAS dscal
         by -1 of the partner and a drot with angle -theta, the
         reflection written as a rotation after a negation.  With one
         OpenBLAS 0.3.31 thread on x86-64, drotm ran 2x slower than that
-        pair on contiguous lanes (0.14 against 0.07 ms for rfst(8) on a
+        pair on contiguous rows (0.14 against 0.07 ms for rfst(8) on a
         512^2 plane) but 1.7x faster at stride 1024 (28 against 49 ms
         for rfst(1024) on a 2048^2 plane).
         """
+        if not (isinstance(v, np.ndarray) and v.ndim == 2 and v.dtype == np.float64):
+            return self.reflect(v, inverse)
+        n = v.shape[1]
+        # coefficient k is the n elements of flat from k * lane on, step apart
+        if v.flags.c_contiguous:
+            flat, lane, step = v.reshape(-1), n, 1
+        elif v.flags.f_contiguous:
+            flat, lane, step = v.T.reshape(-1), 1, len(v)
+        else:
+            return self.reflect(v, inverse)
         if n == 0:  # BLAS rejects any offset into an empty lane
-            return
+            return v
         _bind_blas()
         order = reversed(self._terms) if inverse else self._terms
         for i, j, c, s, param in order:
@@ -171,6 +155,14 @@ class RegularityCascade:
             else:
                 drotm(flat, flat, param, n=n, offx=x, incx=step, offy=y, incy=step,
                       overwrite_x=1, overwrite_y=1)
+        return v
+
+    def reflect(self, v, inverse: bool = False):
+        """apply's route without BLAS: reflect_pair on whole rows of v, in place; returns v."""
+        order = reversed(self._terms) if inverse else self._terms
+        for i, j, c, s, _ in order:
+            reflect_pair(v, i, j, c, s)
+        return v
 
     def as_matrix(self) -> np.ndarray:
         """Dense matrix whose action equals the streamed cascade."""

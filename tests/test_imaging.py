@@ -187,6 +187,40 @@ def test_coeff_file_round_trip(tmp_path):
         assert tagged.kind == kind and np.array_equal(tagged.values, plane.values)
 
 
+def test_threads_slicing_one_payload_each_get_their_own_rows(tmp_path):
+    # the workers of `rfst image inverse` share one _Payload, each thread reading into a
+    # buffer of its own: every thread reads its band before any checks it, while the
+    # interpreter switches threads every microsecond, and no band was overwritten
+    rng = np.random.default_rng(77)
+    values = rng.standard_normal((64, 24))
+    path = tmp_path / "t.rfc"
+    write_coeff_file(CoeffPlane(values, block=8), path)
+    threads, rounds = 4, 50
+    barrier = threading.Barrier(threads, timeout=30)
+
+    def call(payload, i):
+        barrier.wait()
+        for k in range(rounds):
+            top, r = 8 * ((i + k) % 7), 8 * (1 + (i + k) % 2)  # 8- and 16-row bands
+            band = payload[top:top + r]
+            barrier.wait()
+            assert np.array_equal(band, values[top:top + r]), (i, k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with open(path, "rb") as f, concurrent.futures.ThreadPoolExecutor(threads) as pool:
+            payload = imaging._Payload(f)
+            for future in [pool.submit(call, payload, i) for i in range(threads)]:
+                future.result(timeout=60)
+            # all rows at once, as read_coeff_file slices them: the plane owns its data
+            whole = payload[0:64]
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(whole, values)
+    _assert_owned_array(whole)
+
+
 def test_coeff_file_rejects_bad_inputs(tmp_path):
     path = tmp_path / "t.rfc"
     write_coeff_file(CoeffPlane(np.zeros((4, 4)), block=4), path)
@@ -418,6 +452,15 @@ def _on_cpus(monkeypatch, count):
     monkeypatch.setattr(imaging.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def _bands_taken_by(monkeypatch, take):
+    # each worker of _run_bands then calls take(tops, rows) in place of its band loop
+    def bands(src, out, transform, inverse, rows, tops):
+        take(tops, rows)
+        return iter(())
+
+    monkeypatch.setattr(imaging, "_blockwise_2d", bands)
+
+
 def test_fft_route_builds_no_transpose(monkeypatch):
     # the FFT route never runs the dense core's product, so it holds no second M x M
     # matrix, even with the dense core built
@@ -444,7 +487,8 @@ def test_workers_start_with_every_matrix_built(monkeypatch, make, dense, inverse
     matrix = dense(t)
     assert "_transposed" not in vars(matrix)
     workers = []
-    imaging._on_workers(16 * 32, t, inverse, lambda tops, rows: workers.append(rows))
+    _bands_taken_by(monkeypatch, lambda tops, rows: workers.append(rows))
+    imaging._run_bands(np.zeros((16 * 32, 8)), t, inverse)
     assert workers == [32, 32]
     assert "_transposed" in vars(matrix)
 
@@ -702,20 +746,20 @@ def test_outputs_do_not_depend_on_workers(monkeypatch, make, m, block_rows):
 def test_workers_are_the_cpus_this_process_may_use(monkeypatch):
     # one per CPU in the affinity mask, one where the mask cannot be read; never more
     # than bands, nor on the dense core than max(BAND_ROWS, M) // M
-    runs = []
-    in_threads = imaging._in_threads
-    monkeypatch.setattr(imaging, "_in_threads", lambda r: runs.append(len(r)) or in_threads(r))
+    runs = []  # one band loop per worker
+    blockwise = imaging._blockwise_2d
+    monkeypatch.setattr(imaging, "_blockwise_2d", lambda *a: runs.append(1) or blockwise(*a))
     monkeypatch.setattr(imaging.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     for m, rows, workers in ((8, 9 * 8, 3), (8, 8, 1), (32, 4 * 32, 2), (64, 4 * 64, 1),
                              (128, 4 * 128, 1), (FFT_MIN_SIZE, 2 * FFT_MIN_SIZE, 2),
                              (FFT_MIN_SIZE, 7 * FFT_MIN_SIZE, 3)):
         runs.clear()
         forward_2d(_random_image(np.random.default_rng(61), rows, m), rfst(m))
-        assert runs == [workers], (m, rows)
+        assert len(runs) == workers, (m, rows)
     monkeypatch.delattr(imaging.os, "sched_getaffinity")
     runs.clear()
     forward_2d(_random_image(np.random.default_rng(61), 9 * 8, 8), rfst(8))
-    assert runs == [1]
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("cpus", (2, 8))
@@ -747,7 +791,8 @@ def test_a_held_up_worker_leaves_its_bands_to_the_others(monkeypatch):
             if top == 0:
                 assert rest.wait(10), "the other worker left bands untaken"
 
-    imaging._on_workers(16 * 32, rfst(8), False, work)
+    _bands_taken_by(monkeypatch, work)
+    imaging._run_bands(np.zeros((16 * 32, 8)), rfst(8), False)
     assert sorted(taken) == list(range(0, 16 * 32, 32))
 
 
@@ -766,8 +811,9 @@ def test_no_band_is_taken_after_a_worker_fails(monkeypatch):
             assert failing.wait(10)
             time.sleep(0.01)  # past the failing worker's raise
 
+    _bands_taken_by(monkeypatch, work)
     with pytest.raises(OSError, match="band failed"):
-        imaging._on_workers(16 * 32, rfst(8), False, work)
+        imaging._run_bands(np.zeros((16 * 32, 8)), rfst(8), False)
     assert len(others) <= 1
 
 
@@ -1041,8 +1087,10 @@ def test_post_replaces_only_the_rfst_cascade(m):
 def test_bench_reports_the_band_height_of_the_core_it_ran(monkeypatch):
     # with the FFT core switched on at 32, a band is one 32-row block row, not BAND_ROWS rows
     monkeypatch.setattr(regularity, "FFT_MIN_SIZE", 32)
-    plane = np.zeros((256, 256))
-    assert sum(1 for _ in imaging._blockwise_2d(plane, plane.copy(), rfst(32))) == 256 // 32
+    plane, t = np.zeros((256, 256)), rfst(32)
+    rows = imaging._band_rows(t)
+    bands = imaging._blockwise_2d(plane, plane.copy(), t, False, rows, range(0, 256, rows))
+    assert sum(1 for _ in bands) == 256 // 32
     report = bench_postprocessing(32, image_size=256, repeats=1, seed=6)
     assert report.band_rows == 32
     assert report.max_abs_diff <= 1e-10

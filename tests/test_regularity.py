@@ -168,13 +168,8 @@ def test_cascade_fast_path_handles_any_pivot(monkeypatch):
         out = cas.apply(block.copy(), inverse=inverse)
         assert len(drot_calls) == 3
         assert np.abs(out - expected).max() <= 1e-13
-        # the same cascade on the stride-4 columns of the segment-major transpose
-        drotm_calls.clear()
-        segments = np.ascontiguousarray(block.T)
-        cas.apply_flat(segments.reshape(-1), 9, lane=1, step=4, inverse=inverse)
-        assert len(drotm_calls) == 3
-        assert np.abs(segments.T - expected).max() <= 1e-13
-        # and through apply, on the F-ordered (4, 9) view of those segments
+        # the same cascade on the stride-4 columns of the segment-major transpose, through
+        # its F-ordered (4, 9) view
         drotm_calls.clear()
         segments = np.ascontiguousarray(block.T)
         out = cas.apply(segments.T, inverse=inverse)
@@ -195,12 +190,12 @@ def test_cascade_kernel_on_strided_columns_and_offset_slabs(m, monkeypatch):
         expected = _column_loop(cas, block, inverse)
         drotm_calls.clear()
         segments = np.ascontiguousarray(block.T)
-        cas.apply_flat(segments.reshape(-1), 13, lane=1, step=m, inverse=inverse)
+        cas.apply(segments.T, inverse=inverse)
         assert len(drotm_calls) == len(cas)
         assert np.abs(segments.T - expected).max() <= 1e-13
         # two coefficient-major slabs back to back, the cascade run on a view of the second
         slabs = np.stack([block, block])
-        cas.apply_flat(slabs.reshape(-1)[m * 13:], 13, lane=13, step=1, inverse=inverse)
+        cas.apply(slabs[1], inverse=inverse)
         assert np.array_equal(slabs[0], block)
         assert np.abs(slabs[1] - expected).max() <= 1e-13
 
