@@ -27,15 +27,25 @@ input's rows in the inverse and the output's in the forward, with no
 copy between layouts.  From FFT_MIN_SIZE on its core
 is the FFT, run in place, and post is the cascade: a band is one block
 row, whose two layouts coincide, transformed in place on the output
-plane.  The row pass leaves a band segment-major, (n, M), and hands the
-postprocessing its F-ordered (M, n) transpose, on which the cascade is
-one BLAS drotm per reflection along the stride-M columns; the column
-pass leaves it subband-major, a C-ordered (M, n) with one contiguous
-row per subband, on which the cascade is one dscal + drot per
-reflection (RegularityCascade.apply).  Only where a postprocessing
-runs after the dense core, on the bench's _Unfolded route below, does
-a band pass through that subband-major layout and get copied between
-it and block layout.  BAND_ROWS was measured once and is fixed.
+plane.  The row pass leaves a band segment-major, (n, M).  The column
+pass then runs TILE columns at a time, each tile copied into its
+worker's buffer, whose pitch is not a power of two (_tiled_columns): at
+the band's own pitch its columns fold onto a few cache sets.  Each of
+the cascade's reflections pairs a segment's coefficient 0, its lane 0,
+with one partner, so its row pass runs inside the column pass: each
+tile runs, before its column transform, the reflections whose partner
+it holds, one BLAS drotm each, against a contiguous copy of lane 0
+that they carry from tile to tile (RegularityCascade.apply_lane).  Any
+other postprocessing, rdst.DenseHalf or the bench's _Unfolded route,
+gets its row pass on its own before the column pass, on the band's
+F-ordered (M, n) transpose, where a cascade is one drotm per reflection
+along the stride-M columns.  The column pass leaves the band
+subband-major, a C-ordered (M, n) with one contiguous row per subband,
+on which the cascade is one dscal + drot per reflection
+(RegularityCascade.apply).  Only where a postprocessing runs after the
+dense core, on the bench's _Unfolded route below, does a band pass
+through that subband-major layout and get copied between it and block
+layout.  BAND_ROWS and TILE were measured once and are fixed.
 
 forward_2d, inverse_2d and the image commands share a plane's bands
 between worker threads, one per CPU the process may run on, the calling
@@ -47,8 +57,8 @@ bench runs one worker.
 
 The bench adds a third route, _Unfolded, the paper's: the sine core
 rfst ships at M, then the postprocessing as a pass of its own at every
-M.  It times the cascade and rdst.DenseHalf, the dense half-size
-matrix, on that route, and rfst(M) as shipped.
+M, its row pass included.  It times the cascade and rdst.DenseHalf,
+the dense half-size matrix, on that route, and rfst(M) as shipped.
 
 The loop yields each band as it is finished, so the CLI's image
 commands hand each band to _run_bands' put, and none holds a
@@ -113,6 +123,17 @@ COEFF_MAGIC = b"RFC2"
 #       inv                  39-44   36-46   40-46   52-59
 #   margin    1-4%  10-14%  21-25%  19-29%                  (512 rows: 20-25%)
 BAND_ROWS = 64
+
+# Columns per tile of the FFT core's column pass (_tiled_columns), or M if fewer.  Each
+# worker holds one tile at a pitch of TILE + 8 floats and a lane of M floats.  One M x 2048
+# band, forward/inverse ms, medians of 21 one-worker calls, two runs (a shared 2-core
+# x86-64 host, one BLAS thread), against the column pass on the band itself (untiled):
+#   TILE                16                32                64       untiled
+#   M=256    7.0-7.6/7.3-7.7   5.8-6.3/6.0-6.4   5.2-5.6/5.5-5.7   8.0/7.8-8.0
+#   M=1024   26-27/26          23-24/23-24       22-23/22-23       37-39/37-38
+# 64 gains 3-10% more, but two workers' tiles at M=256 then peak at 1.1024 planes of
+# 512 x 768 against test_2d_pipeline_holds_at_most_two_planes' bound of 1.1
+TILE = 32
 
 # The most work one bench_postprocessing call may ask for: repeats x image pixels x 3
 # routes, each route one pass of a pixel through forward_2d's pipeline.  One pass took
@@ -426,8 +447,11 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool, rows: int, top
     runs in place on an (M, n) view of the band's n segments: F-ordered
     after the row pass, C-ordered after the column pass; without a
     post, the column pass reads (inverse) or writes (forward) block
-    layout directly.  src, of any layout and dtype, is only read, one
-    slice of a band's rows at a time, so it may also be an RFC file's
+    layout directly.  On the FFT core a band is one block row, and its
+    column pass runs through _tiled_columns, which also runs the row
+    pass of the transform's carried cascade, if it has one, in place of
+    post's own.  src, of any layout and dtype, is only read, one slice
+    of a band's rows at a time, so it may also be an RFC file's
     _Payload.  out is a C-contiguous float64 plane of its shape, which
     the bands fill, or None: then a band is built in a band-sized
     buffer that the next band reuses, so a consumer takes each band
@@ -444,27 +468,43 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool, rows: int, top
     else:
         post = lambda v: None
     core = functools.partial(transform._along, inverse=inverse)
-    if transform.in_place:  # bands of one block row, transformed in place on out or on one buffer
-        scratch = None
-        buffer = np.empty((m, w)) if out is None else None
-    else:  # bands of several block rows through two band-sized scratch buffers
-        scratch = np.empty((2, min(rows, h) * w))
 
+    if transform.in_place:  # bands of one block row, transformed in place on out or on one buffer
+        buffer = np.empty((m, w)) if out is None else None
+        carried = transform.carried
+        block, lane = np.empty((m, min(TILE, m) + 8)), np.empty(m)  # _tiled_columns' scratch
+        for top in tops:
+            band = buffer if out is None else out[top:top + m]
+            segments = band.reshape(w, m)  # the row pass's layout, coefficient k at stride M
+            np.copyto(band, src[top:top + m])
+            if inverse:
+                post(band)
+                _tiled_columns(band, block, lane, core, carried, inverse)
+                if carried is None:
+                    post(segments.T)
+                core(segments, segments)
+            else:
+                core(segments, segments)
+                if carried is None:
+                    post(segments.T)
+                _tiled_columns(band, block, lane, core, carried, inverse)
+                post(band)
+            yield top, band
+        return
+
+    # bands of several block rows through two band-sized scratch buffers
+    scratch = np.empty((2, min(rows, h) * w))
     for top in tops:
         r = min(rows, h - top)
         n = r * w // m  # length-M segments per pass in this band
         src_band = src[top:top + r]
         # the row pass leaves x segment-major, coefficient k of (n, M) at stride M
-        if scratch is None:
-            band = buffer if out is None else out[top:top + r]
-            x = y = band.reshape(-1)
-        else:
-            x, y = scratch[:, :r * w]
-            # streamed, a band is built in the scratch buffer that its last step frees
-            free = x if subband_major and not inverse else y
-            band = free.reshape(r, w) if out is None else out[top:top + r]
+        x, y = scratch[:, :r * w]
+        # streamed, a band is built in the scratch buffer that its last step frees
+        free = x if subband_major and not inverse else y
+        band = free.reshape(r, w) if out is None else out[top:top + r]
         blocks = x.reshape(r // m, m, w)
-        if subband_major:  # subband k one contiguous row of y as (M, n); block layout in place
+        if subband_major:  # subband k one contiguous row of y as (M, n)
             columns = y.reshape(m, r // m, w).transpose(1, 0, 2)
             if inverse:
                 np.copyto(columns, src_band.reshape(r // m, m, w))
@@ -481,9 +521,57 @@ def _blockwise_2d(src: np.ndarray, out, transform, inverse: bool, rows: int, top
             post(x.reshape(n, m).T)
             core(blocks, columns)
             post(y.reshape(m, n))
-            if subband_major and scratch is not None:
+            if subband_major:
                 np.copyto(band.reshape(r // m, m, w), columns)
         yield top, band
+
+
+def _tiled_columns(band: np.ndarray, block: np.ndarray, lane: np.ndarray, core, carried,
+                   inverse: bool) -> None:
+    """The FFT core's column pass on band, one (M, w) block row, in place, with carried's row pass in it.
+
+    The pass runs a tile of t columns at a time, t = min(TILE, M): each
+    is copied into block, an (M, t + 8) scratch array whose pitch is not
+    a power of two, transformed there and copied back, as the band's
+    own pitch folds its columns onto a few cache sets.  carried, if not
+    None, is a cascade each of whose reflections pairs a segment's
+    coefficient 0, its lane 0, with one partner column: each tile runs,
+    before its column transform, those whose partner it holds, against
+    lane, a contiguous copy of its segment's lane 0 that they carry from
+    tile to tile (RegularityCascade.apply_lane).  Lane 0's own column
+    transform runs last, with its segment's last tile, in block's first
+    padding column.  The inverse runs the tiles in reverse order, lane
+    0's column transform with the first of them, and each tile's
+    reflections after its column transform.
+    """
+    m, w = band.shape
+    tile = block.shape[1] - 8
+    starts = range(0, w, tile)
+    for first in reversed(starts) if inverse else starts:
+        offset = first % m  # the coefficient in its segment of the tile's first column
+        columns, lane_column = band[:, first:first + tile], band[:, first - offset]
+        ends = carried is not None and offset + tile == m  # the segment's last tile
+        transformed = block[None, :, :tile + 1 if ends else tile]
+        np.copyto(block[:, :tile], columns)
+        if inverse:
+            if ends:
+                np.copyto(block[:, tile], lane_column)
+            core(transformed, transformed)
+            if carried is not None:
+                if ends:
+                    np.copyto(lane, block[:, tile])
+                carried.apply_lane(lane, block, offset, tile, inverse=True)
+        else:
+            if carried is not None:
+                if offset == 0:
+                    np.copyto(lane, lane_column)
+                carried.apply_lane(lane, block, offset, tile)
+                if ends:
+                    np.copyto(block[:, tile], lane)
+            core(transformed, transformed)
+        np.copyto(columns, block[:, :tile])
+        if carried is not None and (offset == 0 if inverse else ends):
+            np.copyto(lane_column, lane if inverse else block[:, tile])
 
 
 def _run_bands(src, transform, inverse: bool, out=None, put=None) -> None:
@@ -821,11 +909,13 @@ class _Unfolded(FastRegularTransform):
     bench times both on this route: the sine core that rfst ships at M
     (the dense product below regularity.FFT_MIN_SIZE, the FFT from
     there on), then the postprocessing, even where rfst(M) folds the
-    two into one product.  It is the reference that the shipped route
-    is checked against.
+    two into one product or, on the FFT core, carries the cascade's row
+    pass inside its column tiles.  It is the reference that the shipped
+    route is checked against.
     """
 
     _along = FastRegularTransform._sine_along
+    carried = None  # the row pass runs on its own, as post's
 
     @property
     def post(self):
@@ -858,8 +948,10 @@ def bench_postprocessing(
     cascade; the other is rdst.DenseHalf, the dense half-size matrix on
     the even coefficients, in the cascade's place.  The third median,
     shipped_median_s, times rfst(m) as forward_2d runs it: below
-    FFT_MIN_SIZE one product with the folded matrix, the same route as
-    the cascade's from there on.  Every route runs on one worker, the
+    FFT_MIN_SIZE one product with the folded matrix; from there on the
+    same column tiles as both styles, but with the cascade's row pass
+    run inside them, where the two styles run theirs as a pass of its
+    own before the tiles.  Every route runs on one worker, the
     calling thread, since the medians compare postprocessing styles,
     not thread counts.  Every loaded OpenBLAS is held at one thread for
     the timed region, and blas_pinning records how (or "unpinned");

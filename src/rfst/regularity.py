@@ -20,13 +20,16 @@ orthonormal DST-II, O(M log M) per vector against the dense product's
 O(M^2), run in place, and the cascade follows as a pass of its own;
 neither dense matrix is built.  forward(), inverse() and the 2-D
 pipeline all run the core through FastRegularTransform._along and the
-pass, if any, through its post.  scipy.fft is imported on the FFT path
-only, and scipy.linalg, whose BLAS runs the cascade pass on a block, on
-the first such pass.
+pass, if any, through its post, except that the 2-D pipeline runs the
+cascade's row pass inside its column pass, a tile of columns at a time
+(FastRegularTransform.carried, RegularityCascade.apply_lane).  scipy.fft
+is imported on the FFT path only, and scipy.linalg, whose BLAS runs the
+cascade pass on a block, on the first such pass.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,17 +49,22 @@ from .transforms import (
 OP_COUNT_STYLES = ("cascade", "dense_half")
 
 # Block size from which rfst runs its sine core as an FFT (scipy.fft's DST-II)
-# and then the cascade as a pass of its own, instead of one dense product with
-# the folded matrix.  Medians of 6 runs of 11 forward_2d/inverse_2d calls on a
-# 2048^2 plane, forward/inverse ms, one BLAS thread on a shared 2-core x86-64
-# host, numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31:
-#   M                  128      256      512
-#   folded dense     51/49    80/78  153/142
-#   FFT + cascade    63/67   99/104   96/106
-# The runs ranged over 47-65, 75-105 and 134-189 ms folded, 61-85, 87-118 and
-# 85-112 ms FFT.  From 512 on the FFT wins by a third.  At 256 the folded
-# product now wins by a fifth, but no benchmark workload runs at 256 to
-# confirm it, so the switch stays there.
+# and then the cascade, its row pass inside the column pass's tiles
+# (imaging._tiled_columns), instead of one dense product with the folded
+# matrix.  Medians of 6 runs of 11 forward_2d/inverse_2d calls on a 2048^2
+# plane, each call into the plane the one before released, forward/inverse ms,
+# one BLAS thread on a shared 2-core x86-64 host, numpy 2.4.6, scipy 1.17.1,
+# OpenBLAS 0.3.31; two runs on 2 CPUs, one on 1:
+#   M                            128          256            512
+#   folded dense, 2 CPUs   43-44/41-42  69-84/66-80  130-141/125-132
+#   FFT + cascade, 2 CPUs  84-92/91-95  52-68/56-70       53/54-56
+#   folded dense, 1 CPU          42/41        72/67        131/125
+#   FFT + cascade, 1 CPU         71/74        64/66          61/61
+# From 512 on the FFT wins by more than half, and at 256 by a fifth on 2 CPUs
+# and by a tenth on one, where the runs overlap (61-70 against 69-79 ms
+# forward).  At 128 the tiles' calls cost more than their work, and the folded
+# product wins by half.  Before the tiles, one CPU ran M=256 faster folded, 66/62
+# against 75/79 ms.  No benchmark workload runs at 256, so the switch stays.
 FFT_MIN_SIZE = 256
 
 _BLAS_NAMES = ("drot", "drotm", "dscal")
@@ -131,7 +139,11 @@ class RegularityCascade:
         OpenBLAS 0.3.31 thread on x86-64, drotm ran 2x slower than that
         pair on contiguous rows (0.14 against 0.07 ms for rfst(8) on a
         512^2 plane) but 1.7x faster at stride 1024 (28 against 49 ms
-        for rfst(1024) on a 2048^2 plane).
+        for rfst(1024)'s row pass on a 2048^2 plane).  Still, that row
+        pass at stride 1024 took 22-26 ms, against 3.5-4.6 ms for the
+        same drotm calls run tile by tile on a cache-sized buffer
+        (apply_lane), which is how the 2-D pipeline runs rfst's; apply
+        runs it on the bench's unfolded route.
         """
         if not (isinstance(v, np.ndarray) and v.ndim == 2 and v.dtype == np.float64):
             return self.reflect(v, inverse)
@@ -156,6 +168,38 @@ class RegularityCascade:
                 drotm(flat, flat, param, n=n, offx=x, incx=step, offy=y, incy=step,
                       overwrite_x=1, overwrite_y=1)
         return v
+
+    @cached_property
+    def _lane_partners(self) -> tuple[int, ...] | None:
+        """Each reflection's j, in order, if every one pairs coefficient 0 with a partner past the last one's; else None.
+
+        Such a cascade, the reduced one among them, can run along a
+        segment's coefficients a few partners at a time (apply_lane).
+        """
+        partners = tuple(g.j for g in self.reflections)
+        if any(g.i != 0 for g in self.reflections) or partners != tuple(sorted(set(partners))):
+            return None
+        return partners
+
+    def apply_lane(self, lane: np.ndarray, block: np.ndarray, first: int, count: int,
+                   inverse: bool = False) -> None:
+        """The reflections whose partner j is in first..first + count - 1, in place on lane and block.
+
+        block is a C-ordered float64 (n, p) array whose column c < count
+        holds coefficient first + c of n vectors, and lane a contiguous
+        float64 vector of their coefficient 0, which the reflections
+        carry from one call to the next.  Each reflection is one BLAS
+        drotm, from lane to block's column j - first at stride p, as
+        apply runs it on strided columns; the inverse runs them in
+        reverse order.  Only a cascade with _lane_partners runs here.
+        """
+        partners = self._lane_partners
+        terms = self._terms[bisect.bisect_left(partners, first):bisect.bisect_left(partners, first + count)]
+        _bind_blas()
+        flat, pitch, n = block.reshape(-1), block.shape[1], len(lane)
+        for _, j, _, _, param in (reversed(terms) if inverse else terms):
+            # positional: f2py parses keywords at twice the cost, 1.1 against 0.5 us a call
+            drotm(lane, flat, param, n, 0, 1, j - first, pitch, 1, 1)
 
     def reflect(self, v, inverse: bool = False):
         """apply's route without BLAS: reflect_pair on whole rows of v, in place; returns v."""
@@ -209,8 +253,11 @@ class FastRegularTransform:
     as_matrix(); from FFT_MIN_SIZE on the FFT core, then the cascade as
     its own pass, where forward(), inverse() and the 2-D pipeline never
     build the dense core or the folded matrix; the cascade CSV and the
-    op counts never read them either.  Immutable, and with a
-    RegularityCascade safe to share.
+    op counts never read them either.  On the FFT core the 2-D pipeline
+    runs a RegularityCascade's row pass inside the column pass, one tile
+    of columns at a time (carried); any other postprocessing runs its
+    row pass on its own.  Immutable, and with a RegularityCascade safe
+    to share.
     """
 
     cascade: RegularityCascade
@@ -232,6 +279,20 @@ class FastRegularTransform:
         None below FFT_MIN_SIZE, where _along's matrix holds the cascade.
         """
         return self.cascade if self.in_place else None
+
+    @property
+    def carried(self) -> RegularityCascade | None:
+        """The cascade whose row pass the 2-D pipeline carries through its column tiles, or None.
+
+        post, when it is a RegularityCascade that pairs coefficient 0
+        with one partner after another (apply_lane), as rfst's does; the
+        pipeline then runs no row pass of post on its own.  None for any
+        other postprocessing, and below FFT_MIN_SIZE.
+        """
+        post = self.post
+        if isinstance(post, RegularityCascade) and post._lane_partners is not None:
+            return post
+        return None
 
     @cached_property
     def core(self) -> OrthonormalTransform:
@@ -255,7 +316,12 @@ class FastRegularTransform:
 
         Below FFT_MIN_SIZE this is the dense core's product.  From there
         on it is scipy.fft's orthonormal DST-II, run in place on x, so y
-        must view x's memory in x's order.
+        must view x's memory in x's order.  Along a band's columns the
+        2-D pipeline hands it one tile at a time, copied to a pitch that
+        is not a power of two (imaging._tiled_columns): at the band's own
+        16 KiB pitch (2048 wide) this DST took 16.8-18.9 ms per 1024 x
+        2048 band, against 8.4-8.7 ms at a 16,448-byte pitch (medians of
+        21, one thread).
         """
         if not self.in_place:
             return self.core._along(x, y, inverse)
@@ -263,7 +329,7 @@ class FastRegularTransform:
 
         res = (idst if inverse else dst)(x, type=2, axis=1, norm="ortho", overwrite_x=True)
         # scipy.fft writes an overwritable float64 input in place; copy back if it did not
-        if res.ctypes.data != x.ctypes.data or res.strides != x.strides:
+        if res.__array_interface__["data"] != x.__array_interface__["data"] or res.strides != x.strides:
             np.copyto(x, res)
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -34,8 +34,8 @@ from rfst.imaging import (
     write_pgm,
 )
 from rfst.rdst import DenseHalf, half_postprocessing_matrix
-from rfst.regularity import FFT_MIN_SIZE, FastRegularTransform, rfst
-from rfst.transforms import KINDS, dct2, dst2, hadamard
+from rfst.regularity import FFT_MIN_SIZE, FastRegularTransform, RegularityCascade, rfst
+from rfst.transforms import KINDS, GivensReflection, dct2, dst2, hadamard
 
 
 def _random_image(rng, h, w):
@@ -436,6 +436,35 @@ def test_shipped_route_matches_the_unfolded_route(m):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("cpus", (1, 2))
+@pytest.mark.parametrize("m", (FFT_MIN_SIZE, 2 * FFT_MIN_SIZE))
+def test_tiled_column_pass_matches_the_unfolded_route(monkeypatch, m, cpus):
+    # rfst runs its cascade's row pass inside the column pass's tiles, a few partners per
+    # tile, against one carried lane 0 per segment; the unfolded route runs it as a pass
+    # of its own over the band.  3 block rows of 5 segments, each of M / TILE tiles
+    _on_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(66)
+    img = _random_image(rng, 3 * m, 5 * m)
+    coeffs = CoeffPlane(rng.standard_normal(img.pixels.shape) * 100.0, block=m)
+    shipped, reference = rfst(m), imaging._Unfolded(rfst(m).cascade)
+    assert shipped.carried is shipped.cascade and reference.carried is None
+    assert np.array_equal(forward_2d(img, shipped).values, forward_2d(img, reference).values)
+    assert np.array_equal(inverse_2d(coeffs, shipped), inverse_2d(coeffs, reference))
+
+
+def test_a_cascade_that_cannot_run_tile_by_tile_runs_its_row_pass_on_its_own():
+    # a pivot other than 0, or partners out of order, cannot be carried from tile to tile
+    m = FFT_MIN_SIZE
+    rng = np.random.default_rng(68)
+    img = _random_image(rng, m, 3 * m)
+    for reflections in (((0, 4, 0.3), (1, 3, -0.7)), ((0, m - 2, 0.3), (0, 2, -0.7))):
+        cascade = RegularityCascade(tuple(GivensReflection(*r) for r in reflections), m)
+        t = FastRegularTransform(cascade)
+        assert t.carried is None
+        expected = _per_block(img.pixels.astype(np.float64), t.as_matrix().entries)
+        assert np.abs(forward_2d(img, t).values - expected).max() <= 1e-9
+
+
 def test_fft_route_reads_neither_the_dense_core_nor_the_folded_matrix(monkeypatch):
     def unread(self):
         pytest.fail("the dense sine core or the folded matrix was read")
@@ -500,7 +529,8 @@ def test_workers_start_with_every_matrix_built(monkeypatch, make, dense, inverse
 def test_2d_pipeline_holds_at_most_two_planes(monkeypatch, m, planes, rows, cpus):
     # the output plane and, on the dense core, two band-sized scratch buffers of
     # max(64, M) rows, a quarter of the plane, split between the workers: two of
-    # 128 rows each would be half the plane; the FFT core works in place on its output
+    # 128 rows each would be half the plane; the FFT core works in place on its output,
+    # but for one tile of M x (TILE + 8) floats and a lane of M per worker
     rng = np.random.default_rng(48)
     img = _random_image(rng, rows, 768)
     t = rfst(m)
@@ -539,6 +569,31 @@ def test_a_call_into_a_released_plane_allocates_only_its_scratch(monkeypatch, m,
         finally:
             tracemalloc.stop()
         assert peak <= scratch * plane_bytes, (call.__name__, peak / plane_bytes)
+
+
+def test_fft_route_scratch_does_not_grow_with_the_width(monkeypatch):
+    # two workers, each with one tile of M x (TILE + 8) floats and a lane of M floats,
+    # above the output plane at either width; a band-sized buffer would be 1.5 and 6 MiB.
+    # The interpreter's own objects (threads, views, frames) add 20-27 KB on top, for
+    # which the bound allows 32 KiB
+    m = FFT_MIN_SIZE
+    t = rfst(m)
+    _on_cpus(monkeypatch, 2)
+    for width in (768, 3072):
+        img = _random_image(np.random.default_rng(67), 2 * m, width)
+        coeffs = forward_2d(img, t)
+        for call, arg in ((forward_2d, img), (inverse_2d, coeffs)):
+            gc.collect()
+            imaging._released.clear()
+            tracemalloc.start()
+            try:
+                call(arg, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            scratch = peak - coeffs.values.nbytes
+            tiles = 2 * (m * (imaging.TILE + 8) + m) * 8  # two workers' tile and lane
+            assert scratch <= tiles + 2**15, (call.__name__, width, scratch)
 
 
 @pytest.mark.parametrize("maker,m", ((rfst, 8), (dct2, 8), (rfst, FFT_MIN_SIZE)))
