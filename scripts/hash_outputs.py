@@ -6,6 +6,8 @@ outputs.  Each case is a seeded random image, transformed by:
 - forward_2d and inverse_2d, each called twice, the first output
   dropped before the second call, so that the second call writes into
   the plane the first released;
+- write_coeff_file of forward_2d's plane and write_pgm of the image,
+  hashing each file;
 - `rfst image forward`, `rfst image inverse` (of that RFC file) and
   `rfst image mosaic`, through rfst.cli.main, hashing each output file.
 
@@ -56,7 +58,7 @@ def main(argv=None) -> int:
 
     from rfst import cli, forward_2d, inverse_2d
     from rfst.cli import TRANSFORMS
-    from rfst.imaging import GrayImage, write_pgm
+    from rfst.imaging import GrayImage, write_coeff_file, write_pgm
 
     print(f"# {root}")
     with tempfile.TemporaryDirectory() as tmp:
@@ -76,9 +78,12 @@ def main(argv=None) -> int:
                 plane = inverse_2d(coeffs, t)
                 print(f"inverse_2d#{call} {case} {_digest(plane.tobytes())}")
                 del plane
+            pgm, rfc, written = tmp / "in.pgm", tmp / "coeffs.rfc", tmp / "written.rfc"
+            write_coeff_file(coeffs, written)
+            print(f"write_coeff_file {case} {_digest(written.read_bytes())}")
             del coeffs
-            pgm, rfc = tmp / "in.pgm", tmp / "coeffs.rfc"
             write_pgm(img, pgm)
+            print(f"write_pgm {case} {_digest(pgm.read_bytes())}")
             for action, src in (("forward", pgm), ("inverse", rfc), ("mosaic", pgm)):
                 out = rfc if action == "forward" else tmp / f"{action}.pgm"
                 with contextlib.redirect_stdout(io.StringIO()):

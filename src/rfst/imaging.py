@@ -76,9 +76,12 @@ the one mosaic plane.
 
 Images are binary PGM (P5) and coefficient planes RFC2 files (see
 _coeff_header), each read and written through a path.  Every output
-is written at offsets (_output), so it must be seekable; it is not
-truncated when opened, but cut to its size once.  Each format has one
-reader, which checks the header and the payload's size before it
+file, of either format, has one writer, _writer: it writes the header
+and yields put(top, rows), the sink _run_bands feeds, which writes
+rows at their offset in the file, so an output must be seekable.  An
+output is not truncated when opened, but cut to its size once, and a
+plane with no rows or no columns is refused before the path is
+opened.  Each format has one reader, which checks the header and the payload's size before it
 allocates anything plane-sized.  parse_pgm reads a PGM from a binary
 file object: read_pgm's open file, or bytes as io.BytesIO.  A seekable
 input's raster is read straight into the pixel array; a pipe's is read
@@ -226,25 +229,33 @@ def _read_at(fd: int, offset: int, values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _write_at(fd: int, offset: int, *buffers) -> None:
-    """Write buffers, each bytes or a C-ordered array, one after the other to fd from offset on."""
-    for buffer in buffers:
-        view = memoryview(buffer).cast("B")
-        while view:  # a write stops short at 2 GiB
-            n = os.pwrite(fd, view, offset)
-            view, offset = view[n:], offset + n
+def _write_at(fd: int, offset: int, buffer) -> None:
+    """Write buffer, bytes or a C-ordered array, to fd from offset on."""
+    view = memoryview(buffer).cast("B")
+    while view:  # a write stops short at 2 GiB
+        n = os.pwrite(fd, view, offset)
+        view, offset = view[n:], offset + n
 
 
 @contextlib.contextmanager
-def _output(path, size: int):
-    """A descriptor of path, opened for positioned writes of its size bytes.
+def _writer(path, header: bytes, shape, dtype):
+    """Open path for header and a plane of the given shape and dtype; yields put.
 
-    The path is not truncated when it is opened: a regular file is cut
-    or extended to size once, so rewriting an existing output costs the
-    write alone.  An output that cannot be written at an offset, such
-    as a pipe, is refused before anything is written.  If the block
-    raises, a regular file there is removed again.
+    The one writer of every output file.  put(top, rows) writes rows,
+    as dtype, at row top of the plane (os.pwrite), from any thread;
+    C-ordered rows of dtype are written without a copy.  A plane with
+    no rows or no columns, which no reader reads back, is refused
+    before path is opened.  The path is not truncated when opened: a
+    regular file is cut or extended to its size once, so rewriting an
+    existing output costs the write alone.  An output that cannot be
+    written at an offset, such as a pipe, is refused before anything,
+    the header included, is written.  If the block raises, a regular
+    file there is removed again.
     """
+    h, w = shape
+    if h == 0 or w == 0:
+        raise ValueError(f"cannot write an empty {w}x{h} plane")
+    pitch = w * np.dtype(dtype).itemsize
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         try:
@@ -253,8 +264,10 @@ def _output(path, size: int):
             raise ValueError(
                 "cannot write to a pipe or another output that is not seekable") from None
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, size)
-        yield fd
+            os.ftruncate(fd, len(header) + h * pitch)
+        _write_at(fd, 0, header)
+        yield lambda top, rows: _write_at(fd, len(header) + top * pitch,
+                                          np.ascontiguousarray(rows, dtype))
     except BaseException:
         path = Path(path)
         if path.is_file() and not path.is_symlink():  # never /dev/stdout or a device
@@ -264,8 +277,8 @@ def _output(path, size: int):
         os.close(fd)
 
 
-def _pgm_header(width: int, height: int) -> bytes:
-    return f"P5\n{width} {height}\n255\n".encode("ascii")
+def _pgm_header(shape) -> bytes:
+    return f"P5\n{shape[1]} {shape[0]}\n255\n".encode("ascii")
 
 
 def parse_pgm(f) -> GrayImage:
@@ -339,9 +352,8 @@ def read_pgm(path) -> GrayImage:
 
 
 def write_pgm(img: GrayImage, path) -> None:
-    header = _pgm_header(img.width, img.height)
-    with _output(path, len(header) + img.pixels.size) as fd:
-        _write_at(fd, 0, header, np.ascontiguousarray(img.pixels))
+    with _writer(path, _pgm_header(img.pixels.shape), img.pixels.shape, np.uint8) as put:
+        put(0, img.pixels)
 
 
 def _coeff_header(shape, block: int, kind: str | None) -> bytes:
@@ -411,9 +423,9 @@ def read_coeff_file(path) -> CoeffPlane:
 
 
 def write_coeff_file(plane: CoeffPlane, path) -> None:
-    header = _coeff_header(plane.values.shape, plane.block, plane.kind)
-    with _output(path, len(header) + plane.values.nbytes) as fd:
-        _write_at(fd, 0, header, np.ascontiguousarray(plane.values, "<f8"))
+    shape = plane.values.shape
+    with _writer(path, _coeff_header(shape, plane.block, plane.kind), shape, "<f8") as put:
+        put(0, plane.values)
 
 
 def _block_size(transform) -> int:
@@ -771,13 +783,9 @@ def _forward_file(img: GrayImage, transform, path) -> None:
     left.  The image's size is checked against the transform's by the
     caller, as for _mosaic_file.
     """
-    h, w = img.pixels.shape
-    header = _coeff_header(img.pixels.shape, transform.size, transform.kind)
-    with _output(path, len(header) + 8 * h * w) as fd:
-        _write_at(fd, 0, header)
-        _run_bands(img.pixels, transform, False,
-                   put=lambda top, band: _write_at(fd, len(header) + 8 * top * w,
-                                                   np.ascontiguousarray(band, "<f8")))
+    shape = img.pixels.shape
+    with _writer(path, _coeff_header(shape, transform.size, transform.kind), shape, "<f8") as put:
+        _run_bands(img.pixels, transform, False, put=put)
 
 
 def _inverse_file(payload: _Payload, transform, path) -> None:
@@ -789,26 +797,21 @@ def _inverse_file(payload: _Payload, transform, path) -> None:
     late in the file included, no partial file is left.
     """
     _check_inverse(payload.block, transform)
-    h, w = payload.shape
-    header = _pgm_header(w, h)
-    with _output(path, len(header) + h * w) as fd:
+    with _writer(path, _pgm_header(payload.shape), payload.shape, np.uint8) as put:
 
-        def put(top, band):  # rounded in place, then written as uint8
-            np.clip(np.rint(band, out=band), 0, 255, out=band)
-            _write_at(fd, len(header) + top * w, band.astype(np.uint8))
+        def rounded(top, band):  # rounded in place, then written as uint8
+            put(top, np.clip(np.rint(band, out=band), 0, 255, out=band))
 
-        _write_at(fd, 0, header)
-        _run_bands(payload, transform, True, put=put)
+        _run_bands(payload, transform, True, put=rounded)
 
 
 def _mosaic_file(img: GrayImage, transform, path) -> None:
     """Write subband_mosaic(forward_2d(img, transform)) to path as a PGM, holding no coefficient plane."""
-    h, w = img.pixels.shape
-    header = _pgm_header(w, h)
-    with _output(path, len(header) + h * w) as fd:  # a pipe is refused before the transform runs
-        fill = lambda put: _run_bands(img.pixels, transform, False, put=put)
-        mosaic = _mosaic(fill, img.pixels.shape, transform.size)
-        _write_at(fd, 0, header, mosaic.pixels)
+    shape = img.pixels.shape
+    # opened before the transform runs, so a pipe is refused first
+    with _writer(path, _pgm_header(shape), shape, np.uint8) as put:
+        fill = lambda regroup: _run_bands(img.pixels, transform, False, put=regroup)
+        put(0, _mosaic(fill, shape, transform.size).pixels)
 
 
 def subband_energy(coeffs: CoeffPlane) -> np.ndarray:

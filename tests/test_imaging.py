@@ -308,6 +308,44 @@ def test_codecs_copy_their_payload_once(tmp_path):
     assert (tmp_path / "w.pgm").read_bytes() == raster
 
 
+@pytest.mark.parametrize("write,value", (
+    (write_pgm, GrayImage(np.arange(48, dtype=np.uint8).reshape(6, 8))),
+    (write_coeff_file, CoeffPlane(np.arange(64.0).reshape(8, 8), block=4, kind="DST2")),
+), ids=("pgm", "coeff"))
+def test_writers_refuse_a_pipe_and_rewrite_a_longer_file_exactly(tmp_path, write, value):
+    # positioned writes cannot go to a pipe; a regular file is cut to its size, not truncated
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    write(value, fresh)
+    want = fresh.read_bytes()
+    out.write_bytes(b"\xff" * (2 * len(want)))
+    write(value, out)
+    assert out.read_bytes() == want
+    read_end, write_end = os.pipe()
+    try:
+        with pytest.raises(ValueError, match="^cannot write to a pipe or another output "
+                                             "that is not seekable$"):
+            write(value, f"/dev/fd/{write_end}")
+        os.set_blocking(read_end, False)
+        with pytest.raises(BlockingIOError):  # nothing was written to the pipe
+            os.read(read_end, 1)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+def test_an_empty_image_is_refused_before_its_path_is_opened(tmp_path):
+    # parse_pgm reads no image without rows or columns back, so none is written
+    kept, missing = tmp_path / "kept.pgm", tmp_path / "missing.pgm"
+    kept.write_bytes(b"an existing file")
+    for h, w in ((0, 5), (5, 0)):
+        img = GrayImage(np.zeros((h, w), np.uint8))
+        for path in (kept, missing):
+            with pytest.raises(ValueError, match=f"^cannot write an empty {w}x{h} plane$"):
+                write_pgm(img, path)
+    assert kept.read_bytes() == b"an existing file"
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize("side,block,payload,message", [
     # a 20-byte file whose header claims a 65535 x 65535 plane (32 GiB)
     (65535, 8, 0, "^truncated coefficient payload$"),
