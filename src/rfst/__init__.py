@@ -15,7 +15,6 @@ from .analysis import DEFAULT_RHO, coding_gain, dc_leakage_energy, frequency_res
 from .imaging import (
     CoeffPlane,
     GrayImage,
-    bench_postprocessing,
     forward_2d,
     inverse_2d,
     read_coeff_file,
@@ -32,6 +31,7 @@ from .regularity import (
     extra_op_count,
     rfst,
 )
+from .timing import bench_postprocessing
 from .transforms import GivensReflection, OrthonormalTransform, dct2, dst2, hadamard
 
 __version__ = "0.1.0"

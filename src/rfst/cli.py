@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, imaging, regularity, transforms
+from . import analysis, imaging, regularity, timing, transforms
 from .rdst import EQUIV_DEFAULT_TOL, check_equiv_tol, rdst, signed_perm_equivalent
 
 TRANSFORMS = {
@@ -163,7 +163,7 @@ def _cmd_image(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    report = imaging.bench_postprocessing(
+    report = timing.bench_postprocessing(
         args.size, image_size=args.image_size, repeats=args.repeats, seed=args.seed
     )
     print("metric,value")

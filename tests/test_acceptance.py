@@ -14,10 +14,11 @@ import time
 import numpy as np
 
 from rfst.analysis import coding_gain
-from rfst.imaging import GrayImage, bench_postprocessing, forward_2d, inverse_2d, subband_energy
+from rfst.imaging import GrayImage, forward_2d, inverse_2d, subband_energy
 from rfst.opcount import measure_cascade_ops
 from rfst.rdst import rdst, signed_perm_equivalent
 from rfst.regularity import extra_op_count, rfst
+from rfst.timing import bench_postprocessing
 from rfst.transforms import dst2, hadamard
 
 SQRT2 = math.sqrt(2.0)

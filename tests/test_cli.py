@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfst import cli, imaging, regularity
+from rfst import cli, imaging, regularity, timing
 from rfst.cli import main
 from rfst.imaging import (
     BAND_ROWS,
@@ -237,7 +237,7 @@ def test_image_round_trip(tmp_path, capsys):
                      "--block", "8", "--in", str(src), "--out", str(coeff))
     assert code == 0
     plane = read_coeff_file(coeff)
-    assert plane.block == 8 and plane.width == 40 and plane.height == 32
+    assert plane.block == 8 and plane.values.shape == (32, 40)
 
     code, _, _ = run(capsys, "image", "inverse", "--transform", "rfst",
                      "--block", "8", "--in", str(coeff), "--out", str(back))
@@ -510,10 +510,11 @@ def test_image_inverse_rejects_a_bad_value_in_the_last_band(tmp_path, capsys, mo
     # three bands of BAND_ROWS rows on one worker, which writes every other band to the
     # PGM before the error; six of BAND_ROWS // 2 on two, where the other worker may take
     # the bad band from the end of a run before bands it then never takes
-    values = np.zeros((3 * BAND_ROWS, 16))
-    values[-1, 5] = bad
     coeff, out = tmp_path / "c.rfc", tmp_path / "o.pgm"
-    write_coeff_file(imaging.CoeffPlane(values, block=8), coeff)
+    write_coeff_file(imaging.CoeffPlane(np.zeros((3 * BAND_ROWS, 16)), block=8), coeff)
+    with open(coeff, "r+b") as f:  # the payload's value at (-1, 5), which no writer writes
+        f.seek(-8 * (16 - 5), os.SEEK_END)
+        f.write(np.array([bad], dtype="<f8").tobytes())
     header = len(b"P5\n16 192\n255\n")
     written, baseline = _record_pwrites(monkeypatch), threading.active_count()
     for cpus in (1, 2):
@@ -713,7 +714,7 @@ def test_image_files_do_not_depend_on_workers(tmp_path, capsys, monkeypatch, tra
     if transform == "rfst" and block >= FFT_MIN_SIZE:
         # the FFT route runs the cascade's row pass inside its column tiles; the bench's
         # unfolded route runs it as a pass of its own, and writes the same bytes
-        monkeypatch.setitem(cli.TRANSFORMS, "rfst", lambda m: imaging._Unfolded(rfst(m).cascade))
+        monkeypatch.setitem(cli.TRANSFORMS, "rfst", lambda m: timing._Unfolded(rfst(m).cascade))
         for cpus in (1, 2):
             assert files(cpus) == one, cpus
 
@@ -830,7 +831,7 @@ def test_sizes_above_the_cli_cap_exit_one_at_once(capsys, monkeypatch, argv):
     for kind in cli.TRANSFORMS:
         monkeypatch.setitem(cli.TRANSFORMS, kind, no_build)
     monkeypatch.setattr(regularity, "rfst", no_build)
-    monkeypatch.setattr(imaging, "bench_postprocessing", no_build)
+    monkeypatch.setattr(timing, "bench_postprocessing", no_build)
     code, out, err = run(capsys, *argv, "8192")
     assert code == 1 and out == ""
     assert err.endswith(f"error: argument {argv[-1]}: 8192 exceeds the largest size 4096\n")
@@ -845,17 +846,17 @@ def test_bench_bounds_its_total_work(capsys, monkeypatch):
     # every flag is within the size cap, but together they ask for hours
     with monkeypatch.context() as patched:
         patched.setattr(regularity, "rfst", no_build)
-        patched.setattr(imaging, "rfst", no_build)
-        patched.setattr(imaging, "GrayImage", no_build)
+        patched.setattr(timing, "rfst", no_build)
+        patched.setattr(timing, "GrayImage", no_build)
         code, out, err = run(capsys, "bench", "--size", "1024", "--image-size", "4096",
                              "--repeats", "4096")
     assert (code, out) == (1, "")
     assert err == (f"rfst: error: 4096 repeats x 4096^2 pixels x 3 routes = {3 * 4096**3} pixel "
-                   f"passes exceeds the bench's limit of {imaging.BENCH_MAX_WORK}\n")
+                   f"passes exceeds the bench's limit of {timing.BENCH_MAX_WORK}\n")
     # criterion 9's call and test_bench_csv_shape's run are under it
-    assert 3 * 25 * 512**2 <= imaging.BENCH_MAX_WORK
+    assert 3 * 25 * 512**2 <= timing.BENCH_MAX_WORK
     # the limit itself is allowed, and one pixel pass more is not
-    monkeypatch.setattr(imaging, "BENCH_MAX_WORK", 3 * 3 * 64**2)
+    monkeypatch.setattr(timing, "BENCH_MAX_WORK", 3 * 3 * 64**2)
     assert run(capsys, "bench", "--size", "8", "--image-size", "64", "--repeats", "3")[0] == 0
     code, out, err = run(capsys, "bench", "--size", "8", "--image-size", "64", "--repeats", "4")
     assert (code, out) == (1, "")

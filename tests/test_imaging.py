@@ -1,4 +1,4 @@
-"""Image I/O, separable block transforms, mosaics, and the timing harness."""
+"""Image I/O, separable block transforms and mosaics."""
 
 import concurrent.futures
 import contextlib
@@ -17,12 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfst import imaging, regularity
+from rfst import imaging, regularity, timing
 from rfst.imaging import (
     BAND_ROWS,
     CoeffPlane,
     GrayImage,
-    bench_postprocessing,
     forward_2d,
     inverse_2d,
     parse_pgm,
@@ -89,7 +88,7 @@ def test_pgm_accepts_comments_and_whitespace(tmp_path):
                  b"P5\n" + long_comment + b"3 2 " + long_comment + b"255\n" + raster):
         for entry, read in _pgm_entries(tmp_path, data).items():
             img = read()
-            assert img.width == 3 and img.height == 2, entry
+            assert img.pixels.shape == (2, 3), entry
             assert img.pixels.tobytes() == raster, entry
             _assert_owned_array(img.pixels)
 
@@ -256,11 +255,26 @@ def test_coeff_file_rejects_bad_inputs(tmp_path):
         with pytest.raises(ValueError, match="empty"):
             read_blob(b"RFC2" + header)
     for bad in (np.nan, np.inf, -np.inf):
-        values = np.zeros((4, 4))
-        values[2, 1] = bad
-        write_coeff_file(CoeffPlane(values, block=4), path)
+        tampered = bytearray(blob)
+        offset = 20 + 8 * (2 * 4 + 1)  # the payload's value at (2, 1)
+        tampered[offset:offset + 8] = np.array([bad], dtype="<f8").tobytes()
         with pytest.raises(ValueError, match="NaN or infinite"):
-            read_coeff_file(path)
+            read_blob(bytes(tampered))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_coeff_file_writer_refuses_what_no_reader_reads_back(tmp_path, bad):
+    # refused with the readers' message before the path is opened: a file already
+    # there keeps its bytes, and no file is created
+    values = np.zeros((8, 8))
+    values[3, 2] = bad
+    path, new = tmp_path / "t.rfc", tmp_path / "new.rfc"
+    path.write_bytes(b"an existing file")
+    for target in (path, new):
+        with pytest.raises(ValueError, match=r"^coefficient payload holds NaN or infinite values$"):
+            write_coeff_file(CoeffPlane(values, block=8), target)
+    assert path.read_bytes() == b"an existing file"
+    assert not new.exists()
 
 
 def test_codecs_accept_non_contiguous_arrays(tmp_path):
@@ -466,7 +480,7 @@ def test_shipped_route_matches_the_unfolded_route(m):
     img = _random_image(rng, max(256, 2 * m), max(256, 3 * m))
     coeffs = CoeffPlane(rng.standard_normal(img.pixels.shape) * 100.0, block=m)
     shipped, reference = ((forward_2d(img, t).values, inverse_2d(coeffs, t))
-                          for t in (rfst(m), imaging._Unfolded(rfst(m).cascade)))
+                          for t in (rfst(m), timing._Unfolded(rfst(m).cascade)))
     for got, want in zip(shipped, reference):
         if m < FFT_MIN_SIZE:
             assert np.abs(got - want).max() <= 1e-10
@@ -484,7 +498,7 @@ def test_tiled_column_pass_matches_the_unfolded_route(monkeypatch, m, cpus):
     rng = np.random.default_rng(66)
     img = _random_image(rng, 3 * m, 5 * m)
     coeffs = CoeffPlane(rng.standard_normal(img.pixels.shape) * 100.0, block=m)
-    shipped, reference = rfst(m), imaging._Unfolded(rfst(m).cascade)
+    shipped, reference = rfst(m), timing._Unfolded(rfst(m).cascade)
     assert shipped.carried is shipped.cascade and reference.carried is None
     assert np.array_equal(forward_2d(img, shipped).values, forward_2d(img, reference).values)
     assert np.array_equal(inverse_2d(coeffs, shipped), inverse_2d(coeffs, reference))
@@ -544,7 +558,7 @@ def test_fft_route_builds_no_transpose(monkeypatch):
 @pytest.mark.parametrize("make,dense", (
     (rfst, lambda t: t.as_matrix()),
     (dct2, lambda t: t),
-    (lambda m: imaging._Unfolded(rfst(m).cascade), lambda t: t.core),
+    (lambda m: timing._Unfolded(rfst(m).cascade), lambda t: t.core),
 ), ids=("rfst", "dct", "unfolded"))
 def test_workers_start_with_every_matrix_built(monkeypatch, make, dense, inverse):
     # the row pass runs one of entries and its transpose and the column pass the
@@ -641,7 +655,7 @@ def test_outputs_do_not_depend_on_band_height(monkeypatch, maker, m):
     t = maker(m)
     shipped = forward_2d(img, t)
     plane = inverse_2d(shipped, t)
-    for rows in (m, img.height):
+    for rows in (m, len(img.pixels)):
         monkeypatch.setattr(imaging, "BAND_ROWS", rows)
         coeffs = forward_2d(img, t)
         assert np.array_equal(coeffs.values, shipped.values)
@@ -814,7 +828,7 @@ _WORKER_CASES = [
         ("rfst", rfst, 8),
         ("dct", dct2, 8),
         ("ht", hadamard, 8),
-        ("unfolded", lambda m: imaging._Unfolded(rfst(m).cascade), 8),
+        ("unfolded", lambda m: timing._Unfolded(rfst(m).cascade), 8),
         ("dense-half", _dense_half, 8),
         ("rfst", rfst, FFT_MIN_SIZE),
         ("dense-half", _dense_half, FFT_MIN_SIZE),
@@ -940,7 +954,7 @@ def test_every_worker_thread_is_joined(monkeypatch):
             assert calls and threading.active_count() == baseline
 
 
-@pytest.mark.parametrize("make", (rfst, lambda m: imaging._Unfolded(rfst(m).cascade)),
+@pytest.mark.parametrize("make", (rfst, lambda m: timing._Unfolded(rfst(m).cascade)),
                          ids=("rfst", "unfolded"))
 def test_a_cold_transform_builds_its_dense_matrices_once(monkeypatch, make):
     # (size, threads alive) per build: one build, made before any worker started
@@ -1110,47 +1124,6 @@ def test_subband_mosaic_of_zero_plane_is_black():
     assert mosaic.pixels.max() == 0
 
 
-def test_bench_reports_consistent_fields():
-    report = bench_postprocessing(8, image_size=64, repeats=3, seed=5)
-    assert report.size == 8
-    assert report.image_size == 64
-    assert report.repeats == 3
-    assert report.cascade_median_s > 0.0
-    assert report.dense_half_median_s > 0.0
-    assert abs(report.saved_s - (report.dense_half_median_s - report.cascade_median_s)) <= 1e-12
-    assert report.max_abs_diff <= 1e-10
-    assert report.blas_pinning == "unpinned" or report.blas_pinning.startswith(
-        ("openblas_set_num_threads", "scipy_openblas_set_num_threads"))
-
-
-def test_blas_pinning_reads_a_library_path_with_spaces(tmp_path, monkeypatch):
-    # /proc/self/maps ends a line with the library's pathname, which may hold spaces
-    with open("/proc/self/maps") as maps:
-        fields = [line.rstrip("\n").split(maxsplit=5) for line in maps]
-    loaded = sorted(
-        Path(f[5]) for f in fields if len(f) == 6 and "openblas" in Path(f[5]).name.lower())
-    if not loaded:
-        pytest.skip("no OpenBLAS is loaded")
-    spaced = tmp_path / "with space" / loaded[0].name
-    spaced.parent.mkdir()
-    spaced.symlink_to(loaded[0])
-    line = f"7f0000000000-7f0000001000 r-xp 00000000 08:01 1 {spaced}\n"
-    monkeypatch.setattr(imaging, "open", lambda *args, **kwargs: io.StringIO(line), raising=False)
-    with imaging._one_blas_thread() as pinning:
-        pass
-    assert pinning.startswith(("openblas_set_num_threads", "scipy_openblas_set_num_threads"))
-    assert pinning.endswith(f"(1) in {spaced.name}")
-
-
-@pytest.mark.parametrize("m,image_size,band_rows", (
-    (8, 3 * BAND_ROWS, BAND_ROWS), (8, 16, 16), (2 * BAND_ROWS, 4 * BAND_ROWS, 2 * BAND_ROWS)))
-def test_bench_reports_its_band_height(m, image_size, band_rows):
-    # max(BAND_ROWS, M) rows, or the whole image when it is shorter
-    report = bench_postprocessing(m, image_size=image_size, repeats=1, seed=6)
-    assert report.band_rows == band_rows
-    assert report.max_abs_diff <= 1e-10
-
-
 @pytest.mark.parametrize("m", (8, FFT_MIN_SIZE))
 def test_post_replaces_only_the_rfst_cascade(m):
     # a postprocessing in the cascade's place that records its views and does nothing
@@ -1167,7 +1140,7 @@ def test_post_replaces_only_the_rfst_cascade(m):
             views.append((v.shape, v.flags.f_contiguous, v.flags.c_contiguous, inverse))
             return v
 
-    t = (FastRegularTransform if m >= FFT_MIN_SIZE else imaging._Unfolded)(Record())
+    t = (FastRegularTransform if m >= FFT_MIN_SIZE else timing._Unfolded)(Record())
     plane = forward_2d(img, t)
     row, column = ((m, 2 * m), True, False), ((m, 2 * m), False, True)
     assert views == [(*row, False), (*column, False)]
@@ -1175,40 +1148,3 @@ def test_post_replaces_only_the_rfst_cascade(m):
     views.clear()
     inverse_2d(plane, t)
     assert views == [(*column, True), (*row, True)]
-
-
-def test_bench_reports_the_band_height_of_the_core_it_ran(monkeypatch):
-    # with the FFT core switched on at 32, a band is one 32-row block row, not BAND_ROWS rows
-    monkeypatch.setattr(regularity, "FFT_MIN_SIZE", 32)
-    plane, t = np.zeros((256, 256)), rfst(32)
-    rows = imaging._band_rows(t)
-    bands = imaging._blockwise_2d(plane, plane.copy(), t, False, rows, range(0, 256, rows))
-    assert sum(1 for _ in bands) == 256 // 32
-    report = bench_postprocessing(32, image_size=256, repeats=1, seed=6)
-    assert report.band_rows == 32
-    assert report.max_abs_diff <= 1e-10
-
-
-def test_bench_runs_the_fft_core_from_fft_min_size(monkeypatch):
-    # from FFT_MIN_SIZE on, forward_2d never builds the dense sine core, and neither does the bench
-    def no_dense_core(m):
-        pytest.fail(f"the dense sine core dst2({m}) was built")
-
-    monkeypatch.setattr(regularity, "dst2", no_dense_core)
-    report = bench_postprocessing(FFT_MIN_SIZE, FFT_MIN_SIZE, 1)
-    assert report.band_rows == FFT_MIN_SIZE
-    assert report.max_abs_diff <= 1e-9
-
-
-def test_bench_validates_input():
-    with pytest.raises(ValueError):
-        bench_postprocessing(8, image_size=100)
-    with pytest.raises(ValueError):
-        bench_postprocessing(2, image_size=64)
-    with pytest.raises(ValueError, match="power of two"):
-        bench_postprocessing(0, image_size=64)
-    for image_size in (0, -8):
-        with pytest.raises(ValueError, match="must be positive"):
-            bench_postprocessing(8, image_size=image_size)
-    with pytest.raises(ValueError, match="repeats"):
-        bench_postprocessing(8, image_size=64, repeats=0)

@@ -76,3 +76,18 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert BENCH.is_dir() and defined
     unused = sorted(f"{file}:{name}" for name, file in defined.items() if name not in referenced)
     assert unused == []
+
+
+def test_the_pipeline_imports_nothing_of_the_bench():
+    # imaging holds the 2-D pipeline and the files; the bench (timing) and the dense half
+    # it times (rdst) import the pipeline, never the other way round
+    tree = ast.parse((SRC / "imaging.py").read_text(), filename="imaging.py")
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("rfst" if node.level else "", node.module)))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not imported & {"rfst.rdst", "rfst.timing"}

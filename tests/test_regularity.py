@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rfst import regularity
-from rfst.imaging import BAND_ROWS, GrayImage, _Unfolded, forward_2d, inverse_2d
+from rfst.imaging import BAND_ROWS, GrayImage, forward_2d, inverse_2d
 from rfst.opcount import measure_cascade_ops
 from rfst.rdst import DenseHalf, half_postprocessing_matrix
 from rfst.regularity import (
@@ -19,6 +19,7 @@ from rfst.regularity import (
     extra_op_count,
     rfst,
 )
+from rfst.timing import _Unfolded
 from rfst.transforms import GivensReflection, OrthonormalTransform, dst2, hadamard, reflect_pair
 
 SIZES = (2, 4, 8, 16, 32, 64)
